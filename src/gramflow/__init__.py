@@ -18,6 +18,7 @@ from .distributional import (
     tokenize,
 )
 from .errors import (
+    ArgumentError,
     CorpusError,
     DegenerateVectorError,
     GramflowError,

@@ -5,17 +5,27 @@ times the word occurs within a fixed window of that basis word, divided by
 the word's total occurrence count.  Windows are symmetric, measured in
 token positions, and never cross document boundaries.  Everything is
 deterministic: document order never affects the output.
+
+:func:`build_model` counts every window in one numpy pass, and the vectors
+of the model it returns are rows of one shared matrix.  Model files
+round-trip bit-exactly: :func:`load_model` then :func:`save_model` writes
+the same bytes.  Errors: :class:`ArgumentError` (also a ``ValueError``) for
+a basis size or window below 1 or repeated basis words, :class:`CorpusError`
+for a corpus file that is not UTF-8 or too small for the basis, and
+:class:`ParseError`, with ``file:line``, for a malformed model file.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import struct
 from dataclasses import dataclass, field
 from collections import Counter
 
 import numpy as np
 
-from .errors import CorpusError, DegenerateVectorError, ParseError, UnknownWordError
+from .errors import ArgumentError, CorpusError, DegenerateVectorError, ParseError, UnknownWordError
 from .semantics import cosine
 
 __all__ = [
@@ -49,11 +59,18 @@ def documents_from_text(text: str) -> list[list[str]]:
 
 
 def load_corpus(paths) -> list[list[str]]:
-    """Read one or more UTF-8 files, each holding blank-line separated documents."""
+    """Read one or more UTF-8 files, each holding blank-line separated documents.
+
+    Raises :class:`CorpusError` for a file that is not UTF-8 text.
+    """
     corpus = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            corpus.extend(documents_from_text(fh.read()))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        corpus.extend(documents_from_text(text))
     return corpus
 
 
@@ -67,9 +84,10 @@ class BasisSpec:
     def __post_init__(self):
         object.__setattr__(self, "words", tuple(self.words))
         if len(set(self.words)) != len(self.words):
-            raise ValueError("basis words must be distinct")
+            word, _ = Counter(self.words).most_common(1)[0]
+            raise ArgumentError(f"basis words must be distinct, {word!r} repeats")
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+            raise ArgumentError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass
@@ -84,7 +102,7 @@ class VectorSpaceModel:
 def build_basis(corpus, k: int, stop=None) -> BasisSpec:
     """Choose the k most frequent tokens (ties lexicographic) as the basis."""
     if k < 1:
-        raise ValueError(f"basis size must be >= 1, got {k}")
+        raise ArgumentError(f"basis size must be >= 1, got {k}")
     stop = set(stop or ())
     freq = Counter()
     for doc in corpus:
@@ -95,48 +113,61 @@ def build_basis(corpus, k: int, stop=None) -> BasisSpec:
     return BasisSpec(tuple(tok for tok, _ in ranked[:k]))
 
 
-def _pair_counts(corpus, basis: BasisSpec):
-    """Raw in-window pair counts per word, and per-word occurrence counts.
+def _relative_counts(corpus, basis: BasisSpec):
+    """Token rows, occurrence counts and the matrix of meaning vectors.
+
+    Returns ``(rows, occ, vectors)``: ``rows`` maps each token to its row,
+    in first-occurrence order; ``occ`` holds the occurrence counts; row
+    ``r`` of the float ``(len(rows), len(basis.words))`` matrix ``vectors``
+    is the in-window pair counts of that token divided by its count.
 
     A basis word occurring twice inside one window is counted twice; the
     target position itself never counts, so a word co-occurring with its own
-    basis coordinate only counts distinct occurrences.
+    basis coordinate only counts distinct occurrences.  Pair counts are
+    accumulated as floats, which is exact below 2**53.
     """
-    index = {tok: m for m, tok in enumerate(basis.words)}
-    window = basis.window
-    pair = {}
-    occ = Counter()
-    for doc in corpus:
-        n = len(doc)
-        for p, tok in enumerate(doc):
-            occ[tok] += 1
-            row = pair.get(tok)
-            if row is None:
-                row = pair[tok] = [0] * len(basis.words)
-            for q in range(max(0, p - window), min(n, p + window + 1)):
-                if q == p:
-                    continue
-                m = index.get(doc[q])
-                if m is not None:
-                    row[m] += 1
-    return pair, occ
+    rows = {}
+    ids = np.fromiter((rows.setdefault(tok, len(rows)) for doc in corpus for tok in doc),
+                      dtype=np.int32)
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64)
+    doc_of = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    occ = np.bincount(ids, minlength=len(rows))
+
+    k = len(basis.words)
+    column = np.full(len(rows), -1, dtype=np.int32)
+    for m, tok in enumerate(basis.words):
+        if tok in rows:
+            column[rows[tok]] = m
+    vectors = np.zeros((len(rows), k))
+    flat = vectors.reshape(-1)
+    # no offset of a document's length or more joins two of its tokens
+    for d in range(1, min(basis.window, int(lengths.max(initial=1)) - 1) + 1):
+        same_doc = doc_of[d:] == doc_of[:-d]
+        left, right = ids[:-d], ids[d:]
+        for target, context in ((left, right), (right, left)):
+            m = column[context]
+            keep = same_doc & (m >= 0)
+            np.add.at(flat, target[keep].astype(np.intp) * k + m[keep], 1.0)
+    vectors /= occ[:, None]
+    return rows, occ, vectors
 
 
 def meaning_vector(corpus, word: str, basis: BasisSpec) -> np.ndarray:
     """Relative co-occurrence frequencies of ``word`` against the basis."""
-    pair, occ = _pair_counts(corpus, basis)
-    if word not in occ:
+    rows, _, vectors = _relative_counts(corpus, basis)
+    if word not in rows:
         raise UnknownWordError(f"word {word!r} does not occur in the corpus")
-    return np.array(pair[word], dtype=float) / occ[word]
+    return vectors[rows[word]].copy()  # a view would keep the whole matrix alive
 
 
 def build_model(corpus, basis: BasisSpec) -> VectorSpaceModel:
-    """Meaning vectors for the whole vocabulary in one pass."""
-    pair, occ = _pair_counts(corpus, basis)
-    vectors = {
-        tok: np.array(row, dtype=float) / occ[tok] for tok, row in pair.items()
-    }
-    return VectorSpaceModel(basis, vectors, dict(occ))
+    """Meaning vectors for the whole vocabulary in one pass.
+
+    The vectors are rows of one shared matrix, and both dicts list the
+    tokens in first-occurrence order.
+    """
+    rows, occ, vectors = _relative_counts(corpus, basis)
+    return VectorSpaceModel(basis, dict(zip(rows, vectors)), dict(zip(rows, occ.tolist())))
 
 
 def similarity(model: VectorSpaceModel, w1: str, w2: str) -> float:
@@ -156,36 +187,92 @@ def similarity(model: VectorSpaceModel, w1: str, w2: str) -> float:
     return cosine(model.vectors[w1], model.vectors[w2])
 
 
+_MEMO_SIZE = 1 << 16
+
+
+class _FloatReprs(dict):
+    """``repr`` of float64 values by bit pattern, filled on demand.
+
+    Keys are bit patterns so that ``-0.0`` stays apart from ``0.0``.  At
+    most ``_MEMO_SIZE`` entries are kept, which bounds the memory spent on
+    a model with many distinct coordinates.
+    """
+
+    def __missing__(self, bits):
+        text = repr(struct.unpack("<d", struct.pack("<q", bits))[0])
+        if len(self) < _MEMO_SIZE:
+            self[bits] = text
+        return text
+
+
 def save_model(model: VectorSpaceModel, path) -> None:
     """Write the model file: basis header, then one line per word.
 
     Word lines are sorted by token and hold the token, its occurrence
-    count, and the vector coordinates; floats round-trip bit-exactly.
+    count, and the vector coordinates, each written as ``repr(float(x))``;
+    floats round-trip bit-exactly.
     """
+    # A vector built from a corpus is mostly zeros and repeats a few ratios,
+    # so its text comes from one memo per file; a dense vector would mostly
+    # miss the memo, which costs more than plain repr.
+    memo = _FloatReprs().__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#basis " + " ".join(model.basis.words) + "\n")
         for tok in sorted(model.vectors):
-            coords = " ".join(repr(float(x)) for x in model.vectors[tok])
-            fh.write(f"{tok} {model.counts[tok]} {coords}\n")
+            vec = np.asarray(model.vectors[tok], dtype=np.float64)
+            if 2 * np.count_nonzero(vec) < vec.size:
+                coords = map(memo, vec.view(np.int64).tolist())
+            else:
+                coords = map(repr, vec.tolist())
+            fh.write(f"{tok} {model.counts[tok]} {' '.join(coords)}\n")
 
 
 def load_model(path) -> VectorSpaceModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#basis"):
+    """Read a model file written by :func:`save_model`, one line at a time.
+
+    Raises :class:`ParseError` for text that is not UTF-8, a missing or
+    invalid ``#basis`` header, and, with ``file:line``, a line with the
+    wrong number of fields, a bad or non-finite number, or a repeated token.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_model(fh, path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_model(fh, path) -> VectorSpaceModel:
+    header = fh.readline()
+    if not header.startswith("#basis"):
         raise ParseError(f"{path}: missing '#basis' header line")
-    basis = BasisSpec(tuple(lines[0].split()[1:]))
+    try:
+        basis = BasisSpec(tuple(header.split()[1:]))
+    except ArgumentError as exc:
+        raise ParseError(f"{path}:1: {exc}") from None
+    width = 2 + len(basis.words)
     vectors, counts = {}, {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for ln, line in enumerate(fh, start=2):
         fields = line.split()
-        if len(fields) != 2 + len(basis.words):
-            raise ParseError(f"{path}:{ln}: expected {2 + len(basis.words)} fields, got {len(fields)}")
+        if not fields:
+            continue
+        if len(fields) != width:
+            raise ParseError(f"{path}:{ln}: expected {width} fields, got {len(fields)}")
         tok = fields[0]
+        if tok in counts:
+            raise ParseError(f"{path}:{ln}: duplicate token {tok!r}")
         try:
             counts[tok] = int(fields[1])
-            vectors[tok] = np.array([float(x) for x in fields[2:]])
-        except ValueError:
-            raise ParseError(f"{path}:{ln}: bad number") from None
+            vectors[tok] = _parse_coords(fields[2:])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{ln}: bad number: {exc}") from None
     return VectorSpaceModel(basis, vectors, counts)
+
+
+def _parse_coords(texts) -> np.ndarray:
+    """Coordinate texts as a float64 vector; ``ValueError`` if one is bad or non-finite."""
+    coords = list(map(float, texts))
+    # a sum of finite values is finite unless it overflows; only then look at each
+    if not math.isfinite(sum(coords)) and not all(map(math.isfinite, coords)):
+        bad = next(t for t, x in zip(texts, coords) if not math.isfinite(x))
+        raise ValueError(f"non-finite coordinate {bad!r}")
+    return np.array(coords)

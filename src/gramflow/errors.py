@@ -5,6 +5,10 @@ class GramflowError(Exception):
     """Base class for every error this package raises on bad input or data."""
 
 
+class ArgumentError(GramflowError, ValueError):
+    """An argument is outside its valid range (also a ``ValueError``)."""
+
+
 class ParseError(GramflowError):
     """Malformed type notation, tensor file, model file, or lexicon line."""
 

@@ -5,6 +5,7 @@ plain (name, z) tuples, diagrams are tuples of index pairs, and no code is
 shared with the package's search or contraction machinery.
 """
 
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -140,6 +141,34 @@ def meaning_by_loops(tensors, sizes, links, through, dims):
             val *= float(np.asarray(t)[tuple(idx[off + a] for a in range(k))])
         out[tuple(idx[p] for p in through)] += val
     return out
+
+
+def model_by_loops(corpus, basis_words, window):
+    """Co-occurrence meaning vectors by walking every window position by position.
+
+    Returns ``(vectors, counts)``, both keyed by token in first-occurrence
+    order: each vector lists, per basis word, the in-window occurrences of
+    that word around the token (the token's own position excluded, windows
+    cut at document ends), divided by the token's occurrence count.
+    """
+    index = {tok: m for m, tok in enumerate(basis_words)}
+    pair = {}
+    occ = Counter()
+    for doc in corpus:
+        n = len(doc)
+        for p, tok in enumerate(doc):
+            occ[tok] += 1
+            row = pair.get(tok)
+            if row is None:
+                row = pair[tok] = [0] * len(basis_words)
+            for q in range(max(0, p - window), min(n, p + window + 1)):
+                if q == p:
+                    continue
+                m = index.get(doc[q])
+                if m is not None:
+                    row[m] += 1
+    vectors = {tok: np.array(row, dtype=float) / occ[tok] for tok, row in pair.items()}
+    return vectors, dict(occ)
 
 
 def simples(ptype):

@@ -11,9 +11,10 @@ from gramflow import SpaceAssignment, load_lexicon, load_model, meaning, parse_t
 DEMO_ARGS = ["--lexicon", demo.lexicon_path(), "--dims", "n:2,s:2"]
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "gramflow", *args], capture_output=True, text=True
+        [sys.executable, "-m", "gramflow", *args], capture_output=True, text=True,
+        timeout=timeout,
     )
 
 
@@ -142,6 +143,54 @@ def test_space_build_empty_corpus(tmp_path):
     out = run_cli("space", "build", str(empty), "-k", "1", "--out", str(tmp_path / "m.txt"))
     assert out.returncode == 2
     assert "empty" in out.stderr
+
+
+def test_space_build_huge_window_costs_no_more_than_the_documents(tmp_path):
+    # the demo documents are shorter than 50 tokens, so both windows see the same pairs
+    paths = [tmp_path / "huge.txt", tmp_path / "fifty.txt"]
+    for window, path in zip(("1000000000", "50"), paths):
+        out = run_cli("space", "build", demo.corpus_path(), "-k", "4", "--window", window,
+                      "--out", str(path), timeout=60)
+        assert out.returncode == 0, out.stderr
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def assert_one_line_error(out):
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["-k", "0"], "basis size must be >= 1, got 0"),
+    (["-k", "2", "--window", "0"], "window must be >= 1, got 0"),
+])
+def test_space_build_bad_numbers_are_data_errors(tmp_path, flags, message):
+    out = run_cli("space", "build", demo.corpus_path(), *flags, "--out", str(tmp_path / "m.txt"))
+    assert message in assert_one_line_error(out)
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_space_build_non_utf8_corpus_is_a_data_error(tmp_path):
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes("Alice hates Bob. Caf\u00e9.".encode("latin-1"))
+    out = run_cli("space", "build", str(corpus), "-k", "1", "--out", str(tmp_path / "m.txt"))
+    assert "latin1.txt: not UTF-8 text at byte 20" in assert_one_line_error(out)
+
+
+@pytest.mark.parametrize("model, message", [
+    ("#basis a\nalice 1 nan\nbob 1 0.5\n", "model.txt:2: bad number: non-finite coordinate 'nan'"),
+    ("#basis a\nalice 1 0.5\nbob 1 0.5\nalice 2 0.5\n", "model.txt:4: duplicate token 'alice'"),
+    ("#basis a a\nalice 1 0.5 0.5\nbob 1 0.5 0.5\n", "model.txt:1: basis words must be distinct"),
+])
+def test_bad_model_file_is_a_data_error(tmp_path, model, message):
+    (tmp_path / "model.txt").write_text(model)
+    (tmp_path / "lex.tsv").write_text("alice\tn\tvector\nbob\tn\tvector\n")
+    out = run_cli("parse", "alice", "--lexicon", str(tmp_path / "lex.tsv"),
+                  "--model", str(tmp_path / "model.txt"), "--dims", "s:2")
+    assert message in assert_one_line_error(out)
 
 
 def test_model_feeds_noun_dimension(tmp_path):

@@ -2,13 +2,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gramflow import (
+    ArgumentError,
     BasisSpec,
     CorpusError,
     DegenerateVectorError,
+    GramflowError,
     ParseError,
     UnknownWordError,
+    VectorSpaceModel,
     build_basis,
     build_model,
     load_model,
@@ -18,6 +22,7 @@ from gramflow import (
     tokenize,
 )
 from gramflow.distributional import documents_from_text, load_corpus
+from oracles import model_by_loops
 
 
 def test_tokenize_examples():
@@ -39,6 +44,13 @@ def test_load_corpus_multiple_files(tmp_path):
     assert corpus == [["one", "two"], ["three"], ["four"]]
 
 
+def test_load_corpus_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("caf\u00e9 au lait".encode("latin-1"))
+    with pytest.raises(CorpusError, match="latin1.txt: not UTF-8 text at byte 3"):
+        load_corpus([path])
+
+
 def test_build_basis_examples():
     assert build_basis([["a", "b", "a"]], 1).words == ("a",)
     assert build_basis([["a", "b"], ["b", "c"]], 2).words == ("b", "a")
@@ -57,6 +69,14 @@ def test_basis_spec_validation():
         BasisSpec(("a", "a"))
     with pytest.raises(ValueError):
         BasisSpec(("a",), window=0)
+    # the same errors are package errors, so the CLI reports them as data errors
+    with pytest.raises(ArgumentError, match="'a' repeats"):
+        BasisSpec(("a", "b", "a"))
+    with pytest.raises(ArgumentError, match="window must be >= 1, got 0"):
+        BasisSpec(("a",), window=0)
+    with pytest.raises(ArgumentError, match="basis size must be >= 1, got 0"):
+        build_basis([["a"]], 0)
+    assert issubclass(ArgumentError, GramflowError)
 
 
 def test_meaning_vector_examples():
@@ -190,3 +210,138 @@ def test_model_file_parse_errors(tmp_path):
     path.write_text("#basis a\nword one 0.5\n")
     with pytest.raises(ParseError, match="bad number"):
         load_model(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#basis a a\nword 1 0.5 0.5\n", r"bad\.txt:1: basis words must be distinct"),
+    ("#basis a\nword 1 nan\n", r"bad\.txt:2: bad number: non-finite coordinate 'nan'"),
+    ("#basis a b\n\nword 1 0.5 -inf\n", r"bad\.txt:3: bad number: non-finite coordinate '-inf'"),
+    ("#basis a\nword 1 1e999\n", r"bad\.txt:2: bad number: non-finite coordinate '1e999'"),
+    # an infinity among zeros, as in a mostly-zero row
+    ("#basis a b c\nword 1 0.0 0.0 0.5\nother 1 0.0 inf 0.0\n",
+     r"bad\.txt:3: bad number: non-finite coordinate 'inf'"),
+    # finite coordinates whose sum overflows are accepted
+    ("#basis a b\nword 1 1e308 1e308\nword 2 0.0 nan\n", r"bad\.txt:3: duplicate token"),
+    ("#basis a\nword 1 0.5\nother 2 0.0\nword 3 0.25\n", r"bad\.txt:4: duplicate token 'word'"),
+])
+def test_model_file_hygiene(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_model(path)
+
+
+def test_model_file_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"#basis a\nw\xe9 1 0.5\n")
+    with pytest.raises(ParseError, match="bad.txt: not UTF-8 text"):
+        load_model(path)
+
+
+# ------------------------------------------------- oracle and property tests
+
+WORDS = st.sampled_from(["a", "b", "c", "d", "e"])
+# empty and one-token documents included; "x", "y" and "z" never occur
+CORPORA = st.lists(st.lists(WORDS, max_size=9), max_size=8)
+BASES = st.lists(st.sampled_from(["a", "b", "c", "x", "y", "z"]), unique=True, max_size=6)
+WINDOWS = st.integers(1, 12)
+
+
+def assert_matches_loops(model, corpus):
+    vectors, counts = model_by_loops(corpus, model.basis.words, model.basis.window)
+    assert list(model.vectors) == list(vectors)
+    assert list(model.counts.items()) == list(counts.items())
+    for tok, vec in vectors.items():
+        got = model.vectors[tok]
+        assert got.dtype == vec.dtype and got.shape == vec.shape
+        assert got.tobytes() == vec.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(CORPORA, BASES, WINDOWS)
+@example([[], ["a"], ["b", "a", "b"], ["c"]], ["b", "a", "x"], 12)
+@example([], ["a"], 1)
+def test_build_model_matches_loop_oracle(corpus, words, window):
+    assert_matches_loops(build_model(corpus, BasisSpec(tuple(words), window)), corpus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CORPORA, st.integers(1, 4), st.lists(WORDS, max_size=3), WINDOWS)
+def test_build_model_with_stop_word_basis_matches_loop_oracle(corpus, k, stop, window):
+    assume(len({tok for doc in corpus for tok in doc} - set(stop)) >= k)
+    basis = BasisSpec(build_basis(corpus, k, stop=set(stop)).words, window)
+    assert not set(basis.words) & set(stop)
+    assert_matches_loops(build_model(corpus, basis), corpus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CORPORA, BASES, WINDOWS, WORDS)
+def test_meaning_vector_matches_loop_oracle(corpus, words, window, word):
+    basis = BasisSpec(tuple(words), window)
+    vectors, _ = model_by_loops(corpus, basis.words, window)
+    if word not in vectors:
+        with pytest.raises(UnknownWordError):
+            meaning_vector(corpus, word, basis)
+    else:
+        assert meaning_vector(corpus, word, basis).tobytes() == vectors[word].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(CORPORA, BASES, WINDOWS)
+def test_save_load_save_is_byte_identical(tmp_path_factory, corpus, words, window):
+    tmp = tmp_path_factory.mktemp("model")
+    model = build_model(corpus, BasisSpec(tuple(words), window))
+    save_model(model, tmp / "a.txt")
+    back = load_model(tmp / "a.txt")
+    save_model(back, tmp / "b.txt")
+    assert (tmp / "a.txt").read_bytes() == (tmp / "b.txt").read_bytes()
+    assert back.counts == model.counts
+    for tok, vec in model.vectors.items():
+        assert back.vectors[tok].tobytes() == vec.tobytes()
+
+
+def write_by_repr(model, path):
+    """The model file format written with one plain ``repr`` per coordinate."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("#basis " + " ".join(model.basis.words) + "\n")
+        for tok in sorted(model.vectors):
+            row = [float(x) for x in model.vectors[tok]]
+            fh.write(f"{tok} {model.counts[tok]} {' '.join(map(repr, row))}\n")
+
+
+def random_model(k, rows):
+    basis = BasisSpec(tuple(f"b{i}" for i in range(k)))
+    vectors = {f"w{i}": np.array(row, dtype=float) for i, row in enumerate(rows)}
+    return VectorSpaceModel(basis, vectors, {tok: i + 1 for i, tok in enumerate(vectors)})
+
+
+# rows mostly of zeros are written through the memo, the others by plain repr
+COORDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.lists(COORDS, min_size=k, max_size=k), max_size=6))))
+def test_memo_formatter_writes_plain_repr(tmp_path_factory, k_rows):
+    # signed zeros, subnormals, nan and inf all included
+    tmp = tmp_path_factory.mktemp("model")
+    model = random_model(*k_rows)
+    save_model(model, tmp / "memo.txt")
+    write_by_repr(model, tmp / "repr.txt")
+    assert (tmp / "memo.txt").read_bytes() == (tmp / "repr.txt").read_bytes()
+
+
+def test_memo_formatter_past_its_capacity(tmp_path):
+    # mostly-zero rows with more distinct coordinates than the memo keeps
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((1000, 300)) * 10.0 ** rng.integers(-300, 300, (1000, 300))
+    rows[rng.random(rows.shape) < 0.7] = 0.0
+    rows[0, :3] = (0.0, -0.0, 5e-324)
+    rows[-1, -2:] = (-0.0, 0.0)
+    model = random_model(300, rows)
+    save_model(model, tmp_path / "memo.txt")
+    write_by_repr(model, tmp_path / "repr.txt")
+    assert (tmp_path / "memo.txt").read_bytes() == (tmp_path / "repr.txt").read_bytes()
+    back = load_model(tmp_path / "memo.txt")
+    for tok, vec in model.vectors.items():
+        assert back.vectors[tok].tobytes() == vec.tobytes()
