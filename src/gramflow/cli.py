@@ -62,9 +62,7 @@ def _bind_sentence(sentence, lex):
     if not words:
         raise GramflowError("empty sentence")
     bound = [lex.bind(w) for w in words]
-    seq = PregroupType(())
-    for w in bound:
-        seq = seq + w.type
+    seq = PregroupType(tuple(t for w in bound for t in w.type))
     return words, bound, seq
 
 

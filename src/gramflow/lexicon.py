@@ -1,10 +1,10 @@
 """Binding words to types and tensors.
 
 A lexicon file lists one entry per line: word, type notation, and a source
-telling where the tensor comes from — a stored model vector, a tensor file,
-a matrix file embedded as a bipartite verb state, or one of the constructed
-"logical" words whose tensors are pure wire routing rather than corpus
-statistics.  Entries are resolved and shape-checked eagerly at load time.
+for the tensor — a model vector, a tensor file, a matrix file embedded as a
+bipartite verb state, or a "logical" word made of pure wire routing.
+Entries are resolved and shape-checked eagerly at load time, each distinct
+type text parsed once per file, into one :class:`WordMeaning` per word.
 """
 
 from __future__ import annotations
@@ -45,20 +45,18 @@ class LexEntry:
 class Lexicon:
     """Immutable word-to-meaning table over a fixed space assignment."""
 
-    def __init__(self, entries, space: SpaceAssignment, tensors):
-        self.entries = dict(entries)
+    def __init__(self, meanings, space: SpaceAssignment):
+        self.meanings = dict(meanings)
         self.space = space
-        self._tensors = dict(tensors)
 
     def words(self):
-        return sorted(self.entries)
+        return sorted(self.meanings)
 
     def bind(self, word: str) -> WordMeaning:
         """Resolve a word to its meaning; repeated calls return the same value."""
-        if word not in self.entries:
+        if word not in self.meanings:
             raise UnknownWordError(f"word {word!r} is not in the lexicon")
-        entry = self.entries[word]
-        return WordMeaning(word, entry.type, self._tensors[word])
+        return self.meanings[word]
 
 
 def make_logical_does(space: SpaceAssignment) -> WordMeaning:
@@ -94,21 +92,19 @@ def make_logical_not(space: SpaceAssignment, negation) -> WordMeaning:
     return WordMeaning("not", parse_type(LOGICAL_TYPE), tensor)
 
 
-def _resolve(entry: LexEntry, space, model, base_dir):
-    src = entry.source
-
+def _resolve(word, src, space, model, base_dir):
     def resolve_path(rel):
         path = os.path.join(base_dir, rel) if base_dir else rel
         if not os.path.exists(path):
-            raise ParseError(f"entry {entry.word!r}: referenced file {path!r} does not exist")
+            raise ParseError(f"entry {word!r}: referenced file {path!r} does not exist")
         return path
 
     if src == "vector":
         if model is None:
-            raise ParseError(f"entry {entry.word!r} needs a vector model, none was given")
-        if entry.word not in model.vectors:
-            raise UnknownWordError(f"entry {entry.word!r} is not in the vector model")
-        return np.asarray(model.vectors[entry.word], dtype=float)
+            raise ParseError(f"entry {word!r} needs a vector model, none was given")
+        if word not in model.vectors:
+            raise UnknownWordError(f"entry {word!r} is not in the vector model")
+        return np.asarray(model.vectors[word], dtype=float)
     if src.startswith("tensor:"):
         return read_tensor(resolve_path(src[len("tensor:"):]))
     if src.startswith("choi:"):
@@ -117,7 +113,7 @@ def _resolve(entry: LexEntry, space, model, base_dir):
         return make_logical_does(space).tensor
     if src.startswith("logical:not:"):
         return make_logical_not(space, read_tensor(resolve_path(src[len("logical:not:"):]))).tensor
-    raise ParseError(f"entry {entry.word!r}: unknown source spec {src!r}")
+    raise ParseError(f"entry {word!r}: unknown source spec {src!r}")
 
 
 def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
@@ -128,31 +124,38 @@ def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
     not in the middle of a contraction.  Relative file references are
     resolved against the lexicon file's directory.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     base_dir = os.path.dirname(os.path.abspath(path))
-    entries, tensors = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{ln}: expected 3 tab-separated fields, got {len(fields)}")
-            word, type_text, source = (f.strip() for f in fields)
-            if word in entries:
-                raise ParseError(f"{path}:{ln}: duplicate entry for {word!r}")
+    # (type, shape) by type text: a file repeats a few type texts over many lines
+    meanings, types = {}, {}
+    # text mode already turned every line ending into "\n"
+    for ln, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"{path}:{ln}: expected 3 tab-separated fields, got {len(fields)}")
+        word, type_text, source = fields[0].strip(), fields[1].strip(), fields[2].strip()
+        if word in meanings:
+            raise ParseError(f"{path}:{ln}: duplicate entry for {word!r}")
+        known = types.get(type_text)
+        if known is None:
             try:
                 ptype = parse_type(type_text)
             except ParseError as exc:
                 raise ParseError(f"{path}:{ln}: {exc}") from None
-            entry = LexEntry(word, ptype, source)
-            tensor = _resolve(entry, space, model, base_dir)
-            expected = shape_of(ptype, space)
-            if tuple(tensor.shape) != expected:
-                raise ShapeError(
-                    f"{path}:{ln}: word {word!r} has tensor shape "
-                    f"{list(tensor.shape)} but type {type_text!r} requires {list(expected)}"
-                )
-            entries[word] = entry
-            tensors[word] = tensor
-    return Lexicon(entries, space, tensors)
+        tensor = _resolve(word, source, space, model, base_dir)
+        # shaped only after resolving, so a source error wins over a base with no dimension
+        ptype, expected = known or types.setdefault(type_text, (ptype, shape_of(ptype, space)))
+        if tensor.shape != expected:
+            raise ShapeError(
+                f"{path}:{ln}: word {word!r} has tensor shape "
+                f"{list(tensor.shape)} but type {type_text!r} requires {list(expected)}"
+            )
+        meanings[word] = WordMeaning(word, ptype, tensor)
+    return Lexicon(meanings, space)

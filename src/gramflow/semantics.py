@@ -50,7 +50,6 @@ class WordMeaning:
 
 def _checked_sequence(words, diagram, space):
     """Validate words against the diagram; return (sequence, per-position dims)."""
-    seq = PregroupType(())
     for w in words:
         expected = shape_of(w.type, space)
         got = tuple(np.shape(w.tensor))
@@ -59,7 +58,7 @@ def _checked_sequence(words, diagram, space):
                 f"word {w.word!r}: tensor shape {list(got)} does not match "
                 f"type {str(w.type)!r} with shape {list(expected)}"
             )
-        seq = seq + w.type
+    seq = PregroupType(tuple(t for w in words for t in w.type))
     if len(seq) != diagram.length:
         raise ShapeError(
             f"diagram was built for {diagram.length} wire positions, "

@@ -11,6 +11,7 @@ basis-meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce as _fold
 
@@ -83,26 +84,40 @@ def read_tensor(path) -> np.ndarray:
     """Read the whitespace tensor format.
 
     Line 1 holds the space-separated dimensions (empty for a rank-0 tensor),
-    later lines hold the row-major values; ``#`` lines are comments.
+    later lines hold the row-major values; ``#`` lines are comments.  Text
+    that is not UTF-8 and ``nan`` or infinite values raise ``ParseError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if not line.lstrip().startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1)
+             if not line.lstrip().startswith("#")]
     if not lines:
         raise ParseError(f"{path}: empty tensor file")
-    header = lines[0].split()
+    header = lines[0][1].split()
     try:
         shape = tuple(int(tok) for tok in header)
     except ValueError:
-        raise ParseError(f"{path}: bad dimension line {lines[0]!r}") from None
-    tokens = " ".join(lines[1:]).split()
+        raise ParseError(f"{path}: bad dimension line {lines[0][1]!r}") from None
+    tokens = " ".join(line for _, line in lines[1:]).split()
     try:
-        values = [float(tok) for tok in tokens]
+        # parses each text exactly as float() does, in one call
+        values = np.array(tokens, dtype=float)
     except ValueError:
         raise ParseError(f"{path}: non-numeric tensor value") from None
-    expected = int(np.prod(shape, dtype=object)) if shape else 1
+    expected = math.prod(shape)
     if len(values) != expected:
         raise ParseError(f"{path}: expected {expected} values for shape {list(shape)}, got {len(values)}")
-    return np.array(values, dtype=float).reshape(shape)
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = rest = int(np.argmin(finite))
+        for ln, line in lines[1:]:
+            rest -= len(line.split())
+            if rest < 0:
+                raise ParseError(f"{path}:{ln}: non-finite tensor value {tokens[first]!r}")
+    return values.reshape(shape)
 
 
 def write_tensor(tensor, path) -> None:

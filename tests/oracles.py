@@ -2,13 +2,29 @@
 
 Everything here is deliberately dumb and self-contained: simple types are
 plain (name, z) tuples, diagrams are tuples of index pairs, and no code is
-shared with the package's search or contraction machinery.
+shared with the package's search or contraction machinery.  The file
+loaders below reuse the package's type parser and logical-word builders,
+but read, convert and check every value and line on their own.
 """
 
+import math
+import os
 from collections import Counter
 from itertools import product
 
 import numpy as np
+
+from gramflow import (
+    LexEntry,
+    ParseError,
+    ShapeError,
+    UnknownWordError,
+    choi_embed,
+    make_logical_does,
+    make_logical_not,
+    parse_type,
+    shape_of,
+)
 
 
 def cancels(a, b):
@@ -174,3 +190,109 @@ def model_by_loops(corpus, basis_words, window):
 def simples(ptype):
     """Package type -> plain (name, z) tuples for the oracles above."""
     return tuple((t.base.name, t.z) for t in ptype)
+
+
+def tensor_by_floats(path):
+    """A tensor file read value by value with ``float``, as ``read_tensor`` must.
+
+    Same errors and messages as ``read_tensor``: not UTF-8, empty, bad
+    dimension line, non-numeric value, wrong value count, then the first
+    ``nan`` or infinite value with the line it sits on.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    numbered = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1)
+                if not line.lstrip().startswith("#")]
+    if not numbered:
+        raise ParseError(f"{path}: empty tensor file")
+    try:
+        shape = tuple(int(tok) for tok in numbered[0][1].split())
+    except ValueError:
+        raise ParseError(f"{path}: bad dimension line {numbered[0][1]!r}") from None
+    values, origins = [], []
+    for ln, line in numbered[1:]:
+        for tok in line.split():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ParseError(f"{path}: non-numeric tensor value") from None
+            origins.append((ln, tok))
+    expected = 1
+    for d in shape:
+        expected *= d
+    if len(values) != expected:
+        raise ParseError(f"{path}: expected {expected} values for shape {list(shape)}, got {len(values)}")
+    for x, (ln, tok) in zip(values, origins):
+        if not math.isfinite(x):
+            raise ParseError(f"{path}:{ln}: non-finite tensor value {tok!r}")
+    return np.array(values, dtype=float).reshape(shape)
+
+
+def lexicon_by_lines(path, space, model=None):
+    """A lexicon file loaded line by line: ``{word: (type, tensor)}`` in file order.
+
+    Every line becomes a ``LexEntry`` with its type parsed anew, its tensor
+    resolved through :func:`tensor_by_floats` and its shape computed anew.
+    Errors, their order on a line and their messages are ``load_lexicon``'s.
+    """
+    base_dir = os.path.dirname(os.path.abspath(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    out = {}
+    for ln, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"{path}:{ln}: expected 3 tab-separated fields, got {len(fields)}")
+        word, type_text, source = (f.strip() for f in fields)
+        if word in out:
+            raise ParseError(f"{path}:{ln}: duplicate entry for {word!r}")
+        try:
+            ptype = parse_type(type_text)
+        except ParseError as exc:
+            raise ParseError(f"{path}:{ln}: {exc}") from None
+        entry = LexEntry(word, ptype, source)
+        tensor = _entry_tensor(entry, space, model, base_dir)
+        expected = shape_of(ptype, space)
+        if tuple(tensor.shape) != expected:
+            raise ShapeError(
+                f"{path}:{ln}: word {word!r} has tensor shape "
+                f"{list(tensor.shape)} but type {type_text!r} requires {list(expected)}"
+            )
+        out[word] = (ptype, tensor)
+    return out
+
+
+def _entry_tensor(entry, space, model, base_dir):
+    src = entry.source
+
+    def file_at(rel):
+        path = os.path.join(base_dir, rel)
+        if not os.path.exists(path):
+            raise ParseError(f"entry {entry.word!r}: referenced file {path!r} does not exist")
+        return path
+
+    if src == "vector":
+        if model is None:
+            raise ParseError(f"entry {entry.word!r} needs a vector model, none was given")
+        if entry.word not in model.vectors:
+            raise UnknownWordError(f"entry {entry.word!r} is not in the vector model")
+        return np.asarray(model.vectors[entry.word], dtype=float)
+    if src.startswith("tensor:"):
+        return tensor_by_floats(file_at(src[len("tensor:"):]))
+    if src.startswith("choi:"):
+        return choi_embed(tensor_by_floats(file_at(src[len("choi:"):])))
+    if src == "logical:does":
+        return make_logical_does(space).tensor
+    if src.startswith("logical:not:"):
+        negation = tensor_by_floats(file_at(src[len("logical:not:"):]))
+        return make_logical_not(space, negation).tensor
+    raise ParseError(f"entry {entry.word!r}: unknown source spec {src!r}")

@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
 
@@ -191,6 +193,28 @@ def test_bad_model_file_is_a_data_error(tmp_path, model, message):
     out = run_cli("parse", "alice", "--lexicon", str(tmp_path / "lex.tsv"),
                   "--model", str(tmp_path / "model.txt"), "--dims", "s:2")
     assert message in assert_one_line_error(out)
+
+
+@pytest.mark.parametrize("sub, sentences", [
+    ("meaning", ["Alice hates Bob"]),
+    ("compare", ["Alice hates Bob", "Bob hates Alice"]),
+])
+def test_non_finite_tensor_is_a_data_error(tmp_path, sub, sentences):
+    shutil.copytree(os.path.dirname(demo.lexicon_path()), tmp_path / "demo")
+    (tmp_path / "demo" / "alice.tns").write_text("2\nnan 0.0\n")
+    out = run_cli(sub, *sentences, "--lexicon", str(tmp_path / "demo" / "lexicon.tsv"),
+                  "--dims", "n:2,s:2")
+    assert "alice.tns:2: non-finite tensor value 'nan'" in assert_one_line_error(out)
+
+
+def test_non_utf8_lexicon_and_tensor_files_are_data_errors(tmp_path):
+    (tmp_path / "lex.tsv").write_bytes("caf\u00e9\tn\tvector\n".encode("latin-1"))
+    out = run_cli("parse", "alice", "--lexicon", str(tmp_path / "lex.tsv"), "--dims", "n:2,s:2")
+    assert "lex.tsv: not UTF-8 text" in assert_one_line_error(out)
+    (tmp_path / "alice.tns").write_bytes("2\n1.0 0.0 # caf\u00e9\n".encode("latin-1"))
+    (tmp_path / "lex.tsv").write_text("alice\tn\ttensor:alice.tns\n")
+    out = run_cli("parse", "alice", "--lexicon", str(tmp_path / "lex.tsv"), "--dims", "n:2,s:2")
+    assert "alice.tns: not UTF-8 text" in assert_one_line_error(out)
 
 
 def test_model_feeds_noun_dimension(tmp_path):

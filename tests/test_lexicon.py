@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gramflow.demo as demo
+import gramflow.lexicon as lexicon_module
 from gramflow import (
     BasisSpec,
+    GramflowError,
     ParseError,
     ShapeError,
     SpaceAssignment,
@@ -20,6 +23,8 @@ from gramflow import (
     parse_type,
     reduce,
 )
+from gramflow.lexicon import LOGICAL_TYPE
+from oracles import lexicon_by_lines
 
 SENT = parse_type("s")
 SA22 = SpaceAssignment({"n": 2, "s": 2})
@@ -112,6 +117,127 @@ def test_load_errors_name_the_line(tmp_path):
     path.write_text("alice\tn n\ttensor:a.tns\nalice\tn n\ttensor:a.tns\n")
     with pytest.raises(ParseError, match="duplicate"):
         load_lexicon(path, SA22)
+
+
+def test_non_utf8_lexicon_is_a_parse_error(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_bytes("alice\tn\tvector\ncaf\u00e9\tn\tvector\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="lex.tsv: not UTF-8 text"):
+        load_lexicon(path, SA22)
+
+
+def test_each_type_text_is_parsed_once(tmp_path, monkeypatch):
+    # logical words build their own type, so this lexicon has none
+    write_matrix(tmp_path / "m.tns", [[1.0, 0.0], [0.0, 1.0]])
+    (tmp_path / "v.tns").write_text("2\n0.5 0.25\n")
+    path = tmp_path / "lex.tsv"
+    path.write_text("a\tn\ttensor:v.tns\nb\tn\ttensor:v.tns\nc\tn n^l\ttensor:m.tns\n"
+                    "# n^r s\n\nd\tn  n^l\ttensor:m.tns\ne\tn^r s\tchoi:m.tns\n"
+                    "f\tn n^l\ttensor:m.tns\ng\tn^r s\ttensor:m.tns\n")
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_type(text)
+
+    monkeypatch.setattr(lexicon_module, "parse_type", counting)
+    lex = load_lexicon(path, SA22)
+    assert sorted(calls) == ["n", "n  n^l", "n n^l", "n^r s"]
+    assert lex.bind("c").type == lex.bind("d").type == lex.bind("f").type
+    assert lex.bind("c").type is lex.bind("f").type
+
+
+# ------------------------------------------------- loader against the oracle
+
+LEX_POOL = ["alice", "bob"] + [f"w{i}" for i in range(30)]
+LEX_MODEL = VectorSpaceModel(
+    BasisSpec(("u", "v")),
+    {w: np.array([0.25 * i, 2.0 - i]) for i, w in enumerate(LEX_POOL[:-2])},
+    {w: 1 + i for i, w in enumerate(LEX_POOL[:-2])},
+)
+
+# every good (type, source) pair; "p" has no dimension in SA22
+GOOD_PAIRS = [
+    ("n", "tensor:n.tns"), ("n", "vector"), ("n n^l", "tensor:nn.tns"),
+    ("n  n^l", "tensor:nn.tns"), ("n.n^l", "tensor:nn.tns"), ("n^r s", "choi:nn.tns"),
+    ("n^r s n^l", "tensor:tv.tns"), (LOGICAL_TYPE, "logical:does"),
+    (LOGICAL_TYPE, "logical:not:nn.tns"), ("", "tensor:scalar.tns"),
+]
+TYPE_TEXTS = sorted({t for t, _ in GOOD_PAIRS}) + ["p", "n p", "n?", "s^x"]
+SOURCES = sorted({s for _, s in GOOD_PAIRS}) + [
+    "tensor:nan.tns", "tensor:latin1.tns", "tensor:count.tns", "tensor:missing.tns",
+    "logical:not:tv.tns", "mystery:x",
+]
+FAULTS = st.tuples(st.sampled_from(LEX_POOL), st.sampled_from(TYPE_TEXTS),
+                   st.sampled_from(SOURCES)).map("\t".join) | st.sampled_from(
+    ["alice\tn", "alice\tn\tvector\textra"])
+
+
+@st.composite
+def lexicon_lines(draw):
+    """Good entries with distinct words (the last two are not in the model),
+    padded with whitespace that is no line break in a file, comments and blank
+    lines, and now and then one line that may be at fault."""
+    entries = draw(st.lists(st.tuples(st.sampled_from(LEX_POOL), st.sampled_from(GOOD_PAIRS),
+                                      st.sampled_from(["", " ", "  ", "\x0c", "\u2028"])),
+                            max_size=16, unique_by=lambda e: e[0]))
+    lines = [f"{word}\t{pad}{type_text}\t{source}{pad}" for word, (type_text, source), pad in entries]
+    extras = draw(st.lists(st.sampled_from(["", "   ", "# comment", "  # indented\tcomment"]),
+                           max_size=3))
+    if draw(st.booleans()):
+        extras.append(draw(FAULTS))
+    for extra in extras:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return lines
+
+
+@pytest.fixture(scope="module")
+def lexicon_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("lexicon")
+    (tmp / "n.tns").write_text("2\n0.5 -1.25\n")
+    (tmp / "nn.tns").write_text("# a matrix\n2 2\n1.0 2.0\n\n3.0 4.0\n")
+    (tmp / "tv.tns").write_text("2 2 2\n" + " ".join(
+        repr(float(x)) for x in np.random.default_rng(5).normal(size=8)) + "\n")
+    (tmp / "scalar.tns").write_text("\n2.5\n")
+    (tmp / "nan.tns").write_text("2\n1.0\n# c\nnan\n")
+    (tmp / "latin1.tns").write_bytes("2\n1.0 caf\u00e9\n".encode("latin-1"))
+    (tmp / "count.tns").write_text("2 2\n1 2 3\n")
+    return tmp
+
+
+def outcome(load):
+    try:
+        return load()
+    except GramflowError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon_lines(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+@example(["alice\tn\tvector", "# c", "", "c\tn n^l\ttensor:nn.tns", "d\tn  n^l\ttensor:nn.tns",
+          "e\tn.n^l\ttensor:nn.tns", "bob\tn\ttensor:n.tns", f"does\t{LOGICAL_TYPE}\tlogical:does"],
+         "\n", True)
+@example(["alice\tn\tvector", "bob\tn\tvector", "alice\tn\ttensor:n.tns"], "\n", True)
+@example(["a\tn\ttensor:n.tns", "b\tn?\ttensor:n.tns", "c\tn?\ttensor:n.tns"], "\n", False)
+@example(["a\tn p\ttensor:nn.tns", "b\tn p\ttensor:missing.tns"], "\n", False)
+@example(["a\tn p\ttensor:missing.tns"], "\n", False)
+@example(["a\tn n^l\ttensor:nn.tns", "b\tn n^l\ttensor:tv.tns"], "\r\n", False)
+@example(["a\tn\ttensor:nan.tns"], "\n", False)
+def test_load_lexicon_matches_line_oracle(lexicon_dir, lines, newline, with_model):
+    path = lexicon_dir / "lex.tsv"
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    model = LEX_MODEL if with_model else None
+    want = outcome(lambda: lexicon_by_lines(path, SA22, model))
+    got = outcome(lambda: load_lexicon(path, SA22, model))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.words() == sorted(want)
+    for word, (ptype, tensor) in want.items():
+        bound = got.bind(word)
+        assert bound.word == word and bound.type == ptype
+        assert bound.tensor.dtype == tensor.dtype and bound.tensor.shape == tensor.shape
+        assert bound.tensor.tobytes() == tensor.tobytes()
 
 
 # ------------------------------------------------------------ logical words

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gramflow import (
     BasicType,
@@ -14,6 +15,7 @@ from gramflow import (
     write_tensor,
 )
 from gramflow.tensors import kron_all
+from oracles import tensor_by_floats
 
 
 def test_shape_of_transitive_verb():
@@ -122,3 +124,60 @@ def test_tensor_file_comments_and_errors(tmp_path):
     path.write_text("x y\n1\n")
     with pytest.raises(ParseError, match="dimension"):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n1.0 nan\n3.0 4.0\n", "t.tns:2: non-finite tensor value 'nan'"),
+    ("# c\n2 2\n1.0 2.0\n\n# c\n3.0 -inf\n", "t.tns:6: non-finite tensor value '-inf'"),
+    ("3\n1e999 1.0 nan\n", "t.tns:2: non-finite tensor value '1e999'"),
+    ("\nInfinity\n", "t.tns:2: non-finite tensor value 'Infinity'"),
+])
+def test_tensor_file_rejects_non_finite_values(tmp_path, text, message):
+    path = tmp_path / "t.tns"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        read_tensor(path)
+
+
+def test_tensor_file_rejects_non_utf8_text(tmp_path):
+    path = tmp_path / "t.tns"
+    path.write_bytes("2\n1.0 caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="t.tns: not UTF-8 text"):
+        read_tensor(path)
+
+
+VALUE_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda x: "%.17g" % x),
+    st.floats().map(lambda x: "%.6g" % x),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_0", "-0.0", "+.5e+3", "1e999", "-1e-400", "4.9e-324", "nan", "-inf",
+                     "Infinity", "1__0", "0x10", "one", "1e"]),
+)
+TENSOR_LINES = st.lists(
+    st.lists(VALUE_TEXTS, max_size=4).map(" ".join)
+    | st.sampled_from(["", "# comment", "  # 1 2", "\t"]),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.none() | st.lists(st.integers(0, 3), max_size=3), TENSOR_LINES,
+       st.sampled_from(["\n", "\r\n"]))
+@example([2, 2], ["1_0 2.5", "# c", "", "-0.0 4.9e-324"], "\n")
+@example([2], ["1.0", "nan"], "\r\n")
+def test_read_tensor_matches_float_oracle(tmp_path_factory, dims, lines, newline):
+    if dims is None:  # a vector holding every value given
+        dims = [sum(len(line.split()) for line in lines if not line.lstrip().startswith("#"))]
+    path = tmp_path_factory.mktemp("tns") / "t.tns"
+    path.write_bytes(newline.join([" ".join(map(str, dims))] + lines).encode("utf-8"))
+    try:
+        want = tensor_by_floats(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            read_tensor(path)
+        assert str(err.value) == str(exc)
+        return
+    got = read_tensor(path)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
