@@ -193,28 +193,32 @@ def validate_diagram(
     n = diagram.length
     if n != len(seq):
         raise ValueError(f"diagram length {n} != sequence length {len(seq)}")
-    used = set()
-    partner = {}
+    partner = [-1] * n
     for i, j in diagram.links:
         if not (0 <= i < j < n):
             raise ValueError(f"link ({i},{j}) out of range for length {n}")
-        if i in used or j in used:
+        if partner[i] >= 0 or partner[j] >= 0:
             raise ValueError(f"link ({i},{j}) reuses a position")
-        used.update((i, j))
-        partner[i] = j
-        partner[j] = i
-    for i, j in diagram.links:
-        for k, l in diagram.links:
-            if i < k < j < l:
-                raise ValueError(f"links ({i},{j}) and ({k},{l}) cross")
-        for p in range(i + 1, j):
-            if p not in used or not (i < partner[p] < j):
-                raise ValueError(f"position {p} under link ({i},{j}) is not nested")
         if not contracts(seq[i], seq[j]):
             raise ValueError(f"link ({i},{j}) joins {seq[i]} and {seq[j]}, which do not cancel")
-    expected_through = tuple(p for p in range(n) if p not in used)
-    if diagram.through != expected_through:
-        raise ValueError(f"through {diagram.through} != unlinked positions {expected_through}")
+        partner[i], partner[j] = j, i
+    # left to right, a stack of open left ends: each right end must close
+    # the innermost open cup, and no unlinked position may sit under one
+    open_lefts, through = [], []
+    for p, q in enumerate(partner):
+        if q < 0:
+            if open_lefts:
+                i = open_lefts[-1]
+                raise ValueError(f"position {p} under link ({i},{partner[i]}) is not nested")
+            through.append(p)
+        elif p < q:
+            open_lefts.append(p)
+        else:
+            k = open_lefts.pop()
+            if k != q:
+                raise ValueError(f"links ({q},{p}) and ({k},{partner[k]}) cross")
+    if diagram.through != tuple(through):
+        raise ValueError(f"through {diagram.through} != unlinked positions {tuple(through)}")
     if target is not None:
         survivors = tuple(seq[p] for p in diagram.through)
         if survivors != tuple(target):
@@ -314,29 +318,21 @@ def _witness_links(seq, target) -> Iterator[tuple[tuple[int, int], ...]]:
     yield from go(0, 0)
 
 
-def _diagram_from_links(n: int, links) -> ReductionDiagram:
-    used = {p for link in links for p in link}
-    through = tuple(p for p in range(n) if p not in used)
-    return ReductionDiagram(n, tuple(links), through)
-
-
 def reduce(seq: PregroupType, target: PregroupType) -> Optional[ReductionDiagram]:
     """Find a cancellation-only reduction of ``seq`` to ``target``.
 
     Returns a witnessing diagram, or ``None`` when no reduction exists.
     Among multiple witnesses the one whose sorted link list is
-    lexicographically smallest is returned (leftmost, innermost cups), so
-    the result is deterministic.
+    lexicographically smallest is returned (leftmost, innermost cups): the
+    first of :func:`enumerate_reductions`, so the result is deterministic.
 
     >>> print(reduce(parse_type("n n^r s n^l n"), parse_type("s")))
     links (0,1) (3,4); through 2
     >>> reduce(parse_type("n n^r s n^l"), parse_type("s")) is None
     True
     """
-    links = next(_witness_links(tuple(seq), tuple(target)), None)
-    if links is None:
-        return None
-    return _diagram_from_links(len(seq), links)
+    found = enumerate_reductions(seq, target, 1)
+    return found[0] if found else None
 
 
 def enumerate_reductions(
@@ -349,10 +345,11 @@ def enumerate_reductions(
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     n = len(seq)
-    return [
-        _diagram_from_links(n, links)
-        for links in islice(_witness_links(tuple(seq), tuple(target)), limit)
-    ]
+    diagrams = []
+    for links in islice(_witness_links(tuple(seq), tuple(target)), limit):
+        used = {p for link in links for p in link}
+        diagrams.append(ReductionDiagram(n, links, tuple(p for p in range(n) if p not in used)))
+    return diagrams
 
 
 def is_sentence(seq: PregroupType, sentence: Optional[PregroupType] = None) -> bool:
@@ -379,19 +376,21 @@ def ascii_diagram(seq: PregroupType, diagram: ReductionDiagram) -> str:
         cols.append(offset + (len(label) - 1) // 2)
         offset += len(label) + 2
     header = "  ".join(labels)
-
-    def depth(link):
-        i, j = link
-        inner = [d for d in diagram.links if i < d[0] and d[1] < j]
-        return 1 + max((depth(d) for d in inner), default=0)
-
-    rows = max((depth(link) for link in diagram.links), default=0)
-    grid = [[" "] * len(header) for _ in range(rows)]
-    for link in diagram.links:
-        i, j = link
-        row = grid[depth(link) - 1]
-        row[cols[i]] = "\\"
-        row[cols[j]] = "/"
-        for c in range(cols[i] + 1, cols[j]):
-            row[c] = "_"
-    return "\n".join([header] + ["".join(r).rstrip() for r in grid])
+    # left to right, a stack holding the deepest row used under each open
+    # cup (its bottom entry is the outside); a cup takes the row below that
+    lefts = {i for i, _ in diagram.links}
+    left_of = {j: i for i, j in diagram.links}
+    rows, ends, below = [], [], [0]
+    for p in range(len(labels)):
+        if p in lefts:
+            below.append(0)
+        elif p in left_of:
+            row = below.pop() + 1
+            below[-1] = max(below[-1], row)
+            if row > len(rows):
+                rows.append([])
+                ends.append(0)
+            a, b = cols[left_of[p]], cols[p]
+            rows[row - 1].append(" " * (a - ends[row - 1]) + "\\" + "_" * (b - a - 1) + "/")
+            ends[row - 1] = b + 1
+    return "\n".join([header] + ["".join(r) for r in rows])

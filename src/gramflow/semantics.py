@@ -8,9 +8,9 @@ yields the sentence tensor.
 
 Two evaluators are provided.  :func:`meaning_naive` follows the definition
 literally: it materializes the full word product and the full linear map and
-is the reference oracle.  :func:`meaning` computes the same value without
-ever materializing the product, by contracting cups innermost first, which
-the nesting of any valid diagram makes possible.
+is the reference oracle.  :func:`meaning` computes the same value in one
+left-to-right walk over the wires with a stack of partial tensors (linear
+pregroup processing, after Preller), never building the word product.
 
 Input tensors are never mutated and every function here is pure, so
 independent sentences can be evaluated concurrently without coordination.
@@ -109,56 +109,53 @@ def meaning_naive(words, diagram, space, size_cap: int = DEFAULT_SIZE_CAP) -> np
 
 
 def meaning(words, diagram, space) -> np.ndarray:
-    """Evaluate the diagram by pairwise contraction, innermost cups first.
+    """Evaluate the diagram in one left-to-right walk over the wires.
 
     Produces the same value as :func:`meaning_naive` (within floating-point
-    reordering) while keeping intermediates near word-tensor size: because
-    the cups of a valid diagram are fully nested, processing them by
-    increasing span guarantees that when a cup is reached everything
-    strictly under it is already contracted, so the cup joins two live axes
-    of at most two intermediate tensors.
+    reordering) without building the word product.  A stack holds the
+    tensors built so far, in wire order, with one axis per open wire.  The
+    cups of a valid diagram are fully nested, so at a cup's right end every
+    wire under it is closed and its left end is the last open axis: an
+    earlier axis of the current word's tensor (a trace) or else the last
+    axis of the stack top (a tensordot).  A tensor with no open axis left
+    multiplies into a scalar.
+
+    >>> from gramflow import SpaceAssignment, parse_type, reduce
+    >>> space = SpaceAssignment({"n": 2, "s": 2})
+    >>> alice = WordMeaning("alice", parse_type("n"), np.array([1.0, 0.0]))
+    >>> bob = WordMeaning("bob", parse_type("n"), np.array([0.0, 1.0]))
+    >>> hates = WordMeaning("hates", parse_type("n^r s n^l"),
+    ...                     np.arange(8.0).reshape(2, 2, 2))
+    >>> diagram = reduce(alice.type + hates.type + bob.type, parse_type("s"))
+    >>> print(diagram)
+    links (0,1) (3,4); through 2
+    >>> vec = meaning([alice, hates, bob], diagram, space)
+    >>> np.array_equal(vec, hates.tensor[0, :, 1])
+    True
     """
     words = list(words)
-    _, dims = _checked_sequence(words, diagram, space)
-
-    # segments: (tensor, ascending list of still-open positions)
-    segments = []
-    pos = 0
+    _checked_sequence(words, diagram, space)
+    rights = {j for _, j in diagram.links}
+    stack, scalar, start = [], 1.0, 0
     for w in words:
-        k = len(w.type)
-        segments.append((np.asarray(w.tensor, dtype=float), list(range(pos, pos + k))))
-        pos += k
-    scalar = 1.0
-
-    def locate(p):
-        for si, (_, open_pos) in enumerate(segments):
-            if p in open_pos:
-                return si
-        raise AssertionError(f"position {p} already consumed")
-
-    for i, j in sorted(diagram.links, key=lambda link: (link[1] - link[0], link[0])):
-        si, sj = locate(i), locate(j)
-        ti, pi = segments[si]
-        ai = pi.index(i)
-        if si == sj:
-            aj = pi.index(j)
-            merged = np.trace(ti, axis1=ai, axis2=aj)
-            open_pos = [p for p in pi if p not in (i, j)]
-            segments[si] = (merged, open_pos)
+        # open_axes counts the axes of cur that come before wire p's axis
+        cur, open_axes = np.asarray(w.tensor, dtype=float), 0
+        for p in range(start, start + len(w.type)):
+            if p not in rights:
+                open_axes += 1
+            elif open_axes:
+                cur = np.trace(cur, axis1=open_axes - 1, axis2=open_axes)
+                open_axes -= 1
+            else:
+                top = stack.pop()
+                open_axes = top.ndim - 1
+                cur = np.tensordot(top, cur, axes=([open_axes], [0]))
+        start += len(w.type)
+        if np.ndim(cur):
+            stack.append(cur)
         else:
-            tj, pj = segments[sj]
-            aj = pj.index(j)
-            merged = np.tensordot(ti, tj, axes=([ai], [aj]))
-            open_pos = [p for p in pi if p != i] + [p for p in pj if p != j]
-            segments[si] = (merged, open_pos)
-            del segments[sj]
-        if not segments[si][1]:
-            scalar *= float(segments[si][0])
-            del segments[si]
-
-    segments.sort(key=lambda seg: seg[1][0])
-    result = kron_all([t for t, _ in segments]) * scalar
-    return result
+            scalar *= float(cur)
+    return kron_all(stack) * scalar
 
 
 def snake_check(d: int) -> np.ndarray:

@@ -59,6 +59,92 @@ def _nested(links):
     return True
 
 
+def bracket_diagram(word, keep_unlinked_under_cups=False):
+    """Links and unlinked positions read off a bracket word over ``(``, ``)`` and ``.``.
+
+    Each ``(`` opens a cup that the matching ``)`` closes; a ``.`` or an
+    unmatched ``)`` is an unlinked wire.  Cups left open at the end are
+    closed there.  A ``.`` inside a cup is dropped, which keeps the diagram
+    fully nested, unless ``keep_unlinked_under_cups`` is set.  Returns
+    ``(length, links, unlinked)``.
+    """
+    links, unlinked, opened, n = [], [], [], 0
+    for ch in word:
+        if ch == "(":
+            opened.append(n)
+        elif ch == ")" and opened:
+            links.append((opened.pop(), n))
+        elif opened and not keep_unlinked_under_cups:
+            continue
+        else:
+            unlinked.append(n)
+        n += 1
+    while opened:
+        links.append((opened.pop(), n))
+        n += 1
+    return n, tuple(sorted(links)), tuple(unlinked)
+
+
+def validate_by_pairs(types, n, links, through, target=None):
+    """Check a diagram link against link, raising ``ValueError`` like ``validate_diagram``.
+
+    ``types`` are (name, z) tuples; ``links`` and ``through`` are the
+    diagram's fields.  Every pair of links is tested for crossing and every
+    position under each link for nesting.
+    """
+    if n != len(types):
+        raise ValueError(f"diagram length {n} != sequence length {len(types)}")
+    used = set()
+    partner = {}
+    for i, j in links:
+        if not (0 <= i < j < n):
+            raise ValueError(f"link ({i},{j}) out of range for length {n}")
+        if i in used or j in used:
+            raise ValueError(f"link ({i},{j}) reuses a position")
+        used.update((i, j))
+        partner[i] = j
+        partner[j] = i
+    for i, j in links:
+        for k, l in links:
+            if i < k < j < l:
+                raise ValueError(f"links ({i},{j}) and ({k},{l}) cross")
+        for p in range(i + 1, j):
+            if p not in used or not (i < partner[p] < j):
+                raise ValueError(f"position {p} under link ({i},{j}) is not nested")
+        if not cancels(types[i], types[j]):
+            raise ValueError(f"link ({i},{j}) joins {types[i]} and {types[j]}, which do not cancel")
+    expected_through = tuple(p for p in range(n) if p not in used)
+    if tuple(through) != expected_through:
+        raise ValueError(f"through {tuple(through)} != unlinked positions {expected_through}")
+    if target is not None and tuple(types[p] for p in through) != tuple(target):
+        raise ValueError(f"surviving wires do not equal target {target}")
+
+
+def ascii_by_recursion(labels, links):
+    """Text rendering of a diagram, each cup's row found by recursion over the cups under it."""
+    cols = []
+    offset = 0
+    for label in labels:
+        cols.append(offset + (len(label) - 1) // 2)
+        offset += len(label) + 2
+    header = "  ".join(labels)
+
+    def depth(link):
+        i, j = link
+        inner = [d for d in links if i < d[0] and d[1] < j]
+        return 1 + max((depth(d) for d in inner), default=0)
+
+    rows = max((depth(link) for link in links), default=0)
+    grid = [[" "] * len(header) for _ in range(rows)]
+    for i, j in links:
+        row = grid[depth((i, j)) - 1]
+        row[cols[i]] = "\\"
+        row[cols[j]] = "/"
+        for c in range(cols[i] + 1, cols[j]):
+            row[c] = "_"
+    return "\n".join([header] + ["".join(r).rstrip() for r in grid])
+
+
 def oracle_witnesses(types, target):
     """Every valid reduction diagram, by exhaustive generate-and-filter."""
     types = tuple(types)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,19 @@ def test_parse_grammatical_sentence():
     assert out.returncode == 0
     assert "links (0,1) (3,4); through 2" in out.stdout
     assert "\\___/" in out.stdout
+
+
+def test_parse_draws_deeply_nested_cups_quickly(tmp_path):
+    (tmp_path / "v.tns").write_text("2\n1.0 0.0\n")
+    (tmp_path / "lex.tsv").write_text("l\tn^l\ttensor:v.tns\nx\tn\ttensor:v.tns\n"
+                                      "it\ts\ttensor:v.tns\n")
+    start = time.monotonic()
+    out = run_cli("parse", " ".join(["l"] * 24 + ["x"] * 24 + ["it"]),
+                  "--lexicon", str(tmp_path / "lex.tsv"), "--dims", "n:2,s:2", timeout=60)
+    assert time.monotonic() - start < 5.0
+    assert out.returncode == 0
+    assert "(23,24)" in out.stdout and "(0,47)" in out.stdout
+    assert sum(line.lstrip().startswith("\\") for line in out.stdout.splitlines()) == 24
 
 
 def test_parse_rejects_ungrammatical():
@@ -64,6 +78,17 @@ def test_meaning_choi_verb():
     payload = json.loads(out.stdout)
     # the stored map is [[1,2],[3,4]], alice = e0, so the meaning is row 0
     assert payload["vector"] == [1.0, 2.0]
+
+
+def test_meaning_with_a_unit_type_word(tmp_path):
+    shutil.copytree(os.path.dirname(demo.lexicon_path()), tmp_path / "demo")
+    with open(tmp_path / "demo" / "lexicon.tsv", "a") as fh:
+        fh.write("very\t\ttensor:two.tns\n")
+    (tmp_path / "demo" / "two.tns").write_text("\n2.0\n")
+    out = run_cli("meaning", "Alice very hates Bob",
+                  "--lexicon", str(tmp_path / "demo" / "lexicon.tsv"), "--dims", "n:2,s:2")
+    assert out.returncode == 0, out.stderr
+    assert "[2, 0]" in out.stdout
 
 
 def test_meaning_rejects_ungrammatical_without_vector():

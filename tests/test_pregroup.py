@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from gramflow import (
     BasicType,
@@ -19,7 +20,15 @@ from gramflow import (
     right_adjoint,
     validate_diagram,
 )
-from oracles import oracle_exists, oracle_witnesses, reduces_by_rewriting, simples
+from oracles import (
+    ascii_by_recursion,
+    bracket_diagram,
+    oracle_exists,
+    oracle_witnesses,
+    reduces_by_rewriting,
+    simples,
+    validate_by_pairs,
+)
 
 N = BasicType("n")
 S = BasicType("s")
@@ -223,6 +232,105 @@ def test_reduce_output_always_validates():
         validate_diagram(seq, d, target)
 
 
+FAULTS = [
+    ("n n^r", ((0, 2),), (), None, "out of range"),
+    ("n n^r n^r", ((0, 1), (0, 2)), (), None, "reuses"),
+    ("n n n^r n^r", ((0, 2), (1, 3)), (), None, "cross"),
+    ("n s n^r", ((0, 2),), (1,), None, "not nested"),
+    ("n n", ((0, 1),), (), None, "do not cancel"),
+    ("n n^r s", ((0, 1),), (1,), None, "through"),
+    ("n n^r s", ((0, 1),), (2,), "n", "target"),
+]
+
+
+@pytest.mark.parametrize("text, links, through, target, message", FAULTS)
+def test_validate_names_each_fault_like_the_pairwise_oracle(text, links, through, target, message):
+    seq = parse_type(text)
+    target = None if target is None else parse_type(target)
+    with pytest.raises(ValueError, match=message):
+        validate_diagram(seq, ReductionDiagram(len(seq), links, through), target)
+    with pytest.raises(ValueError, match=message):
+        validate_by_pairs(simples(seq), len(seq), links, through,
+                          None if target is None else simples(target))
+
+
+@st.composite
+def typed_diagrams(draw, faults):
+    """A bracket-word diagram over random types, each link made to cancel."""
+    word = draw(st.text(alphabet="().", max_size=10))
+    n, links, through = bracket_diagram(word, keep_unlinked_under_cups=faults and draw(st.booleans()))
+    types = draw(st.lists(st.sampled_from(ALPHABET), min_size=n, max_size=n))
+    for i, j in links:
+        types[j] = right_adjoint(types[i])
+    return n, list(links), through, types
+
+
+def verdict(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+MUTATIONS = ["extra link", "drop link", "move end", "cross two", "retype", "through", "length"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(typed_diagrams(faults=True), st.lists(st.sampled_from(MUTATIONS), max_size=2), st.data())
+def test_validate_accepts_exactly_what_the_pairwise_oracle_accepts(case, mutations, data):
+    n, links, through, types = case
+    length = n
+    for m in mutations:
+        if m == "extra link":
+            i, j = data.draw(st.integers(-1, n)), data.draw(st.integers(-1, n))
+            links.append((i, j))
+            if 0 <= i < j < n:
+                types[j] = right_adjoint(types[i])
+        elif m == "drop link" and links:
+            links.pop(data.draw(st.integers(0, len(links) - 1)))
+        elif m == "move end" and links:
+            k = data.draw(st.integers(0, len(links) - 1))
+            shift = data.draw(st.sampled_from([-2, -1, 1, 2]))
+            i, j = links[k]
+            links[k] = (i + shift, j) if data.draw(st.booleans()) else (i, j + shift)
+        elif m == "cross two" and len(links) > 1:
+            w, x, y, z = sorted(links.pop() + links.pop())
+            links += [(w, y), (x, z)]
+            if 0 <= w and z < n:
+                types[y], types[z] = right_adjoint(types[w]), right_adjoint(types[x])
+        elif m == "retype" and n:
+            types[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(ALPHABET))
+        elif m == "length":
+            length += 1
+    if "through" in mutations:
+        through = tuple(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    else:
+        through = tuple(p for p in range(n) if all(p not in link for link in links))
+    survivors = tuple(types[p] for p in through if p < n)
+    target = data.draw(st.sampled_from([None, survivors, survivors[1:], (ALPHABET[0],)]))
+    seq = PregroupType(tuple(types))
+    diagram = ReductionDiagram(length, links, through)
+    got = verdict(validate_diagram, seq, diagram, None if target is None else PregroupType(target))
+    want = verdict(validate_by_pairs, simples(seq), length, diagram.links, diagram.through,
+                   None if target is None else simples(target))
+    assert (got is None) == (want is None), (got, want)
+    kinds = [k for k in ("diagram length", *(f[-1] for f in FAULTS)) if got is not None and k in got]
+    assert got is None or kinds, got
+    event(kinds[0] if kinds else "accepted")
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_diagrams(faults=False))
+def test_ascii_diagram_matches_recursive_oracle(case):
+    n, links, through, types = case
+    seq = PregroupType(tuple(types))
+    diagrams = enumerate_reductions(seq, PregroupType(tuple(types[p] for p in through)), 50)
+    assert any(d.links == tuple(links) for d in diagrams)
+    for d in diagrams:
+        assert ascii_diagram(seq, d) == ascii_by_recursion([str(t) for t in seq], d.links)
+
+
 # ------------------------------------------------ agreement with oracles
 
 def test_existence_matches_oracles_exhaustive_small():
@@ -284,5 +392,7 @@ def test_module_doctests():
     import doctest
 
     import gramflow.pregroup
-    failures, _ = doctest.testmod(gramflow.pregroup)
-    assert failures == 0
+    import gramflow.semantics
+    for module in (gramflow.pregroup, gramflow.semantics):
+        failures, tried = doctest.testmod(module)
+        assert failures == 0 and tried > 0

@@ -1,9 +1,13 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gramflow import (
     DegenerateVectorError,
     PregroupType,
+    ReductionDiagram,
     ShapeError,
     SimpleType,
     SizeCapError,
@@ -12,18 +16,23 @@ from gramflow import (
     choi_embed,
     cosine,
     cup,
+    ascii_diagram,
     is_separable,
     kron,
+    make_logical_does,
+    make_logical_not,
     meaning,
     meaning_naive,
     parse_type,
     reduce,
     shape_of,
     snake_check,
+    validate_diagram,
 )
+from gramflow import semantics
 from gramflow.pregroup import BasicType, left_adjoint, right_adjoint
 
-from oracles import meaning_by_loops
+from oracles import bracket_diagram, meaning_by_loops
 
 SENT = parse_type("s")
 SA22 = SpaceAssignment({"n": 2, "s": 2})
@@ -181,6 +190,123 @@ def test_meaning_is_multilinear_in_each_word():
             base + meaning(alone, diagram, SA22),
             rtol=1e-12, atol=1e-12,
         )
+
+
+UNIT = PregroupType(())
+
+
+@pytest.mark.parametrize("at", [0, 2, 3, None], ids=["first", "middle", "last", "alone"])
+def test_unit_type_words_scale_the_meaning(at):
+    unit = WordMeaning("very", UNIT, np.array(2.5))
+    if at is None:
+        words, diagram, plain = [unit], reduce(UNIT, UNIT), np.array(1.0)
+    else:
+        seq = parse_type("n n^r s n^l n")
+        words = make_words(np.random.default_rng(31), seq, [1, 4], SA22)
+        diagram = reduce(seq, SENT)
+        plain = meaning(words, diagram, SA22)
+        words.insert(at, unit)
+    got = meaning(words, diagram, SA22)
+    assert got.shape == plain.shape
+    assert np.allclose(got, meaning_naive(words, diagram, SA22), rtol=1e-12, atol=0)
+    assert np.allclose(got, 2.5 * plain, rtol=1e-12, atol=0)
+
+
+@st.composite
+def sentence_cases(draw):
+    """Words cut at random from a random fully nested diagram, unit-type words mixed in."""
+    n, links, through = bracket_diagram(draw(st.text(alphabet="().", max_size=7)))
+    alphabet = [SimpleType(BasicType(b), z) for b in ("n", "s") for z in (-1, 0, 1)]
+    types = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+    for i, j in links:
+        types[j] = right_adjoint(types[i])
+    cuts = sorted(draw(st.sets(st.sampled_from(range(1, n))))) if n > 1 else []
+    spans = list(zip([0] + cuts, cuts + [n])) if n else []
+    for _ in range(draw(st.integers(0 if spans else 1, 2))):
+        spans.insert(draw(st.integers(0, len(spans))), None)
+    # meaning_naive's map has an axis per wire and per surviving wire: keep it small
+    dim = st.integers(1, 3 if n <= 6 else 2)
+    space = SpaceAssignment({"n": draw(dim), "s": draw(dim)})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = []
+    for k, span in enumerate(spans):
+        wtype = UNIT if span is None else PregroupType(tuple(types[span[0]:span[1]]))
+        words.append(WordMeaning(f"w{k}", wtype, rng.normal(size=shape_of(wtype, space))))
+    return words, ReductionDiagram(n, links, through), space
+
+
+@settings(max_examples=400, deadline=None)
+@given(sentence_cases())
+def test_meaning_matches_naive_and_loops(case):
+    words, diagram, space = case
+    fast = meaning(words, diagram, space)
+    slow = meaning_naive(words, diagram, space)
+    assert fast.shape == slow.shape
+    scale = max(1.0, float(np.max(np.abs(slow), initial=0.0)))
+    assert np.max(np.abs(fast - slow), initial=0.0) <= 1e-9 * scale
+    dims = [space.dim(t.base) for w in words for t in w.type]
+    if np.prod(dims) <= 256:
+        looped = meaning_by_loops([w.tensor for w in words], [len(w.type) for w in words],
+                                  diagram.links, diagram.through, dims)
+        assert np.max(np.abs(fast - looped), initial=0.0) <= 1e-9 * scale
+
+
+def test_negated_sentence_intermediates_stay_small(monkeypatch):
+    """At n=s=8 no contraction step of "alice does not like bob" exceeds 8**5 entries."""
+    rng = np.random.default_rng(37)
+    space = SpaceAssignment({"n": 8, "s": 8})
+    alice = WordMeaning("alice", parse_type("n"), rng.normal(size=8))
+    like = WordMeaning("like", parse_type("n^r s n^l"), rng.normal(size=(8, 8, 8)))
+    bob = WordMeaning("bob", parse_type("n"), rng.normal(size=8))
+    negation = rng.normal(size=(8, 8))
+    words = [alice, make_logical_does(space), make_logical_not(space, negation), like, bob]
+    seq = PregroupType(tuple(t for w in words for t in w.type))
+    diagram = reduce(seq, SENT)
+    sizes = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def tensordot(self, *args, **kwargs):
+            out = np.tensordot(*args, **kwargs)
+            sizes.append(np.size(out))
+            return out
+
+        def trace(self, *args, **kwargs):
+            out = np.trace(*args, **kwargs)
+            sizes.append(np.size(out))
+            return out
+
+    monkeypatch.setattr(semantics, "np", RecordingNumpy())
+    got = meaning(words, diagram, space)
+    monkeypatch.undo()
+    assert sizes and max(sizes) <= 8**5
+    want = negation @ np.einsum("i,iaj,j->a", alice.tensor, like.tensor, bob.tensor)
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_two_thousand_nested_cups_take_linear_time():
+    depth = 2000
+    seq = PregroupType(tuple([SimpleType(BasicType("n"))] * depth
+                             + [SimpleType(BasicType("n"), 1)] * depth
+                             + [SimpleType(BasicType("s"))]))
+    links = tuple((k, 2 * depth - 1 - k) for k in range(depth))
+    diagram = ReductionDiagram(2 * depth + 1, links, (2 * depth,))
+    v = np.array([0.6, 0.8])
+    words = [WordMeaning(f"w{p}", PregroupType((t,)), v) for p, t in enumerate(seq)]
+
+    start = time.perf_counter()
+    validate_diagram(seq, diagram, SENT)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    art = ascii_diagram(seq, diagram).splitlines()
+    assert time.perf_counter() - start < 1.0
+    assert len(art) == depth + 1 and art[1].strip() == "\\___/" and art[-1].startswith("\\")
+    start = time.perf_counter()
+    got = meaning(words, diagram, SA22)
+    assert time.perf_counter() - start < 1.0
+    assert np.allclose(got, v * float(v @ v) ** depth, rtol=1e-9, atol=0)
 
 
 # ----------------------------------------------------------------- snake
