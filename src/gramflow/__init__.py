@@ -21,6 +21,7 @@ from .errors import (
     ArgumentError,
     CorpusError,
     DegenerateVectorError,
+    DiagramError,
     GramflowError,
     ParseError,
     ShapeError,
@@ -28,7 +29,7 @@ from .errors import (
     SpaceError,
     UnknownWordError,
 )
-from .lexicon import Lexicon, LexEntry, load_lexicon, make_logical_does, make_logical_not
+from .lexicon import Lexicon, load_lexicon, make_logical_does, make_logical_not
 from .pregroup import (
     BasicType,
     PregroupType,

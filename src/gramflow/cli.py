@@ -38,7 +38,7 @@ def _parse_dims(text):
         if not part:
             continue
         base, sep, value = part.partition(":")
-        if not sep or not base or not value.isdigit() or int(value) < 1:
+        if not sep or not base or not value.isdecimal() or int(value) < 1:
             raise GramflowError(f"bad --dims entry {part!r}, expected base:dim with dim >= 1")
         dims[base] = int(value)
     return dims

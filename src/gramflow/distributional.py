@@ -6,17 +6,20 @@ the word's total occurrence count.  Windows are symmetric, measured in
 token positions, and never cross document boundaries.  Everything is
 deterministic: document order never affects the output.
 
-:func:`build_model` counts every window in one numpy pass, and the vectors
-of the model it returns are rows of one shared matrix.  Model files
-round-trip bit-exactly: :func:`load_model` then :func:`save_model` writes
-the same bytes.  Errors: :class:`ArgumentError` (also a ``ValueError``) for
-a basis size or window below 1 or repeated basis words, :class:`CorpusError`
-for a corpus file that is not UTF-8 or too small for the basis, and
+:func:`build_model` counts every window in one numpy pass, and
+:func:`load_model` parses a block of lines per ``np.loadtxt`` call; the
+vectors of a model either returns are rows of one shared matrix.  Model
+files round-trip bit-exactly: :func:`load_model` then :func:`save_model`
+writes the same bytes.  Errors: :class:`ArgumentError` (also a
+``ValueError``) for a basis size or window below 1, repeated basis words,
+or a model :func:`save_model` could not load back, :class:`CorpusError` for
+a corpus file that is not UTF-8 or too small for the basis, and
 :class:`ParseError`, with ``file:line``, for a malformed model file.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import struct
@@ -53,8 +56,13 @@ def tokenize(text: str) -> list[str]:
 
 
 def documents_from_text(text: str) -> list[list[str]]:
-    """Split text into documents on blank lines and tokenize each."""
-    docs = [tokenize(chunk) for chunk in re.split(r"\n\s*\n", text)]
+    """Split text into documents on blank lines and tokenize each.
+
+    Equal tokens are one ``str`` object, which keeps a large corpus small.
+    """
+    same = {}
+    docs = [[same.setdefault(tok, tok) for tok in tokenize(chunk)]
+            for chunk in re.split(r"\n\s*\n", text)]
     return [doc for doc in docs if doc]
 
 
@@ -211,7 +219,24 @@ def save_model(model: VectorSpaceModel, path) -> None:
     Word lines are sorted by token and hold the token, its occurrence
     count, and the vector coordinates, each written as ``repr(float(x))``;
     floats round-trip bit-exactly.
+
+    Raises :class:`ArgumentError`, before the file is opened, for what
+    :func:`load_model` would reject: a token or basis word that is empty or
+    holds whitespace, a vector whose length is not the basis size, or a
+    non-finite coordinate.
     """
+    k = len(model.basis.words)
+    for tok in (*model.basis.words, *model.vectors):
+        if tok.split() != [tok]:
+            raise ArgumentError(f"token {tok!r} is empty or holds whitespace")
+    with np.errstate(over="ignore"):
+        for tok, vec in model.vectors.items():
+            vec = np.asarray(vec, dtype=np.float64)
+            if vec.shape != (k,):
+                raise ArgumentError(f"vector of {tok!r} has shape {vec.shape}, the basis has {k} words")
+            # finite unless a coordinate is not, or it overflows; only then look at each
+            if not math.isfinite(vec.dot(vec)) and not np.isfinite(vec).all():
+                raise ArgumentError(f"vector of {tok!r} has a non-finite coordinate")
     # A vector built from a corpus is mostly zeros and repeats a few ratios,
     # so its text comes from one memo per file; a dense vector would mostly
     # miss the memo, which costs more than plain repr.
@@ -228,20 +253,49 @@ def save_model(model: VectorSpaceModel, path) -> None:
 
 
 def load_model(path) -> VectorSpaceModel:
-    """Read a model file written by :func:`save_model`, one line at a time.
+    """Read a model file written by :func:`save_model`.
+
+    The vectors are rows of one shared ``(vocabulary, basis)`` matrix, and
+    both dicts list the tokens in file order.  ``np.loadtxt`` parses the
+    coordinates of ``_BLOCK_LINES`` lines at a time; a block that fails any
+    check is read again one line and one ``float`` at a time, so the files
+    accepted, their values and the error messages are a line reader's.
 
     Raises :class:`ParseError` for text that is not UTF-8, a missing or
     invalid ``#basis`` header, and, with ``file:line``, a line with the
     wrong number of fields, a bad or non-finite number, or a repeated token.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _read_model(fh, path)
+        with open(path, "rb") as raw:
+            line_breaks = _count_line_breaks(raw)
+            size = raw.tell()
+            raw.seek(0)
+            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+                return _read_model(fh, path, line_breaks, size)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_model(fh, path) -> VectorSpaceModel:
+def _count_line_breaks(raw) -> int:
+    """Line breaks as text mode reads them: ``\\n``, ``\\r\\n`` and a lone ``\\r``.
+
+    A ``\\r\\n`` split between two chunks counts twice, so the count is
+    never below the number of lines after the first.
+    """
+    count = 0
+    for chunk in iter(lambda: raw.read(1 << 20), b""):
+        count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+        if b"\r" in chunk:
+            count += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return count
+
+
+# lines parsed per np.loadtxt call: large enough that the call's overhead
+# vanishes, small enough that the block's text and its parsed copy stay small
+_BLOCK_LINES = 1024
+
+
+def _read_model(fh, path, line_breaks, size) -> VectorSpaceModel:
     header = fh.readline()
     if not header.startswith("#basis"):
         raise ParseError(f"{path}: missing '#basis' header line")
@@ -249,12 +303,65 @@ def _read_model(fh, path) -> VectorSpaceModel:
         basis = BasisSpec(tuple(header.split()[1:]))
     except ArgumentError as exc:
         raise ParseError(f"{path}:1: {exc}") from None
-    width = 2 + len(basis.words)
-    vectors, counts = {}, {}
-    for ln, line in enumerate(fh, start=2):
+    # The matrix is allocated once: a row per line break, but no more rows
+    # than the file's bytes can hold, since a valid line has 2k+3 characters
+    # or more.  Blank lines then cost no memory.
+    k = len(basis.words)
+    matrix = np.empty((min(line_breaks, size // (2 * k + 3)), k))
+    counts = {}
+
+    def add(block):
+        rows = matrix[len(counts):len(counts) + len(block)]
+        if block and not _read_block(block, counts, rows):
+            _read_lines(block, counts, rows, path)
+
+    block = []
+    try:
+        for ln, line in enumerate(fh, start=2):
+            head = line.split(None, 2)
+            if head:
+                block.append((ln, line, head))
+                if len(block) == _BLOCK_LINES:
+                    add(block)
+                    block = []
+    except UnicodeDecodeError:
+        add(block)  # a fault on a line before the undecodable text is reported first
+        raise
+    add(block)
+    return VectorSpaceModel(basis, dict(zip(counts, matrix)), counts)
+
+
+def _read_block(block, counts, rows) -> bool:
+    """Parse a block of ``(line number, line, head)`` into ``rows`` with one numpy call.
+
+    ``head`` is the line split at its first two runs of whitespace.  Adds
+    the block's tokens to ``counts`` and returns True only when every line
+    passes every check; otherwise changes nothing and returns False.
+    numpy splits fields at the same whitespace as ``str.split`` and parses
+    a subset of what ``float`` accepts into the same values.
+    """
+    if any(len(head) != 3 for _, _, head in block):
+        return False
+    tokens = [head[0] for _, _, head in block]
+    if len(set(tokens)) != len(tokens) or not counts.keys().isdisjoint(tokens):
+        return False
+    try:
+        occ = [int(head[1]) for _, _, head in block]
+        coords = np.loadtxt([head[2] for _, _, head in block], dtype=float, ndmin=2, comments=None)
+    except ValueError:
+        return False
+    if coords.shape != rows.shape or not np.isfinite(coords).all():
+        return False
+    rows[...] = coords
+    counts.update(zip(tokens, occ))
+    return True
+
+
+def _read_lines(block, counts, rows, path) -> None:
+    """Parse a block line by line, raising :class:`ParseError` at its first fault."""
+    width = 2 + rows.shape[1]
+    for i, (ln, line, _) in enumerate(block):
         fields = line.split()
-        if not fields:
-            continue
         if len(fields) != width:
             raise ParseError(f"{path}:{ln}: expected {width} fields, got {len(fields)}")
         tok = fields[0]
@@ -262,17 +369,12 @@ def _read_model(fh, path) -> VectorSpaceModel:
             raise ParseError(f"{path}:{ln}: duplicate token {tok!r}")
         try:
             counts[tok] = int(fields[1])
-            vectors[tok] = _parse_coords(fields[2:])
+            coords = list(map(float, fields[2:]))
         except ValueError as exc:
             raise ParseError(f"{path}:{ln}: bad number: {exc}") from None
-    return VectorSpaceModel(basis, vectors, counts)
-
-
-def _parse_coords(texts) -> np.ndarray:
-    """Coordinate texts as a float64 vector; ``ValueError`` if one is bad or non-finite."""
-    coords = list(map(float, texts))
-    # a sum of finite values is finite unless it overflows; only then look at each
-    if not math.isfinite(sum(coords)) and not all(map(math.isfinite, coords)):
-        bad = next(t for t, x in zip(texts, coords) if not math.isfinite(x))
-        raise ValueError(f"non-finite coordinate {bad!r}")
-    return np.array(coords)
+        bad = next((t for t, x in zip(fields[2:], coords) if not math.isfinite(x)), None)
+        if bad is not None:
+            raise ParseError(f"{path}:{ln}: bad number: non-finite coordinate {bad!r}")
+        if i == len(rows):  # more valid lines than the bytes counted could hold
+            raise ParseError(f"{path}: file changed while it was read")
+        rows[i] = coords

@@ -9,6 +9,10 @@ class ArgumentError(GramflowError, ValueError):
     """An argument is outside its valid range (also a ``ValueError``)."""
 
 
+class DiagramError(GramflowError, ValueError):
+    """A reduction diagram breaks an invariant of its sequence (also a ``ValueError``)."""
+
+
 class ParseError(GramflowError):
     """Malformed type notation, tensor file, model file, or lexicon line."""
 

@@ -10,17 +10,15 @@ type text parsed once per file, into one :class:`WordMeaning` per word.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ShapeError, UnknownWordError
-from .pregroup import PregroupType, parse_type
+from .pregroup import parse_type
 from .semantics import WordMeaning, choi_embed
 from .tensors import SpaceAssignment, read_tensor, shape_of
 
 __all__ = [
-    "LexEntry",
     "Lexicon",
     "load_lexicon",
     "make_logical_does",
@@ -31,15 +29,6 @@ __all__ = [
 # subject wire in, sentence wire out, and the two wires that splice into the
 # following verb phrase: the shared type of the constructed function words
 LOGICAL_TYPE = "n^r s s^l n"
-
-
-@dataclass(frozen=True)
-class LexEntry:
-    """One lexicon line: a word, its type, and its tensor source spec."""
-
-    word: str
-    type: PregroupType
-    source: str
 
 
 class Lexicon:

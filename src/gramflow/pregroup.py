@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .errors import ParseError
+from .errors import ArgumentError, DiagramError, ParseError
 
 __all__ = [
     "BasicType",
@@ -185,22 +185,22 @@ def validate_diagram(
 ) -> None:
     """Check every structural invariant of a diagram against its sequence.
 
-    Raises ``ValueError`` describing the first violation found: bad lengths,
-    a position used twice, crossing or non-nested links, a link whose
-    endpoint types do not cancel, or (when ``target`` is given) surviving
-    wires that do not spell the target.
+    Raises :class:`DiagramError` (also a ``ValueError``) describing the
+    first violation found: bad lengths, a position used twice, crossing or
+    non-nested links, a link whose endpoint types do not cancel, or (when
+    ``target`` is given) surviving wires that do not spell the target.
     """
     n = diagram.length
     if n != len(seq):
-        raise ValueError(f"diagram length {n} != sequence length {len(seq)}")
+        raise DiagramError(f"diagram length {n} != sequence length {len(seq)}")
     partner = [-1] * n
     for i, j in diagram.links:
         if not (0 <= i < j < n):
-            raise ValueError(f"link ({i},{j}) out of range for length {n}")
+            raise DiagramError(f"link ({i},{j}) out of range for length {n}")
         if partner[i] >= 0 or partner[j] >= 0:
-            raise ValueError(f"link ({i},{j}) reuses a position")
+            raise DiagramError(f"link ({i},{j}) reuses a position")
         if not contracts(seq[i], seq[j]):
-            raise ValueError(f"link ({i},{j}) joins {seq[i]} and {seq[j]}, which do not cancel")
+            raise DiagramError(f"link ({i},{j}) joins {seq[i]} and {seq[j]}, which do not cancel")
         partner[i], partner[j] = j, i
     # left to right, a stack of open left ends: each right end must close
     # the innermost open cup, and no unlinked position may sit under one
@@ -209,20 +209,20 @@ def validate_diagram(
         if q < 0:
             if open_lefts:
                 i = open_lefts[-1]
-                raise ValueError(f"position {p} under link ({i},{partner[i]}) is not nested")
+                raise DiagramError(f"position {p} under link ({i},{partner[i]}) is not nested")
             through.append(p)
         elif p < q:
             open_lefts.append(p)
         else:
             k = open_lefts.pop()
             if k != q:
-                raise ValueError(f"links ({q},{p}) and ({k},{partner[k]}) cross")
+                raise DiagramError(f"links ({q},{p}) and ({k},{partner[k]}) cross")
     if diagram.through != tuple(through):
-        raise ValueError(f"through {diagram.through} != unlinked positions {tuple(through)}")
+        raise DiagramError(f"through {diagram.through} != unlinked positions {tuple(through)}")
     if target is not None:
         survivors = tuple(seq[p] for p in diagram.through)
         if survivors != tuple(target):
-            raise ValueError(
+            raise DiagramError(
                 f"surviving wires {' '.join(map(str, survivors))!r} do not equal "
                 f"target {str(target)!r}"
             )
@@ -343,7 +343,7 @@ def enumerate_reductions(
     The first element, when any exist, is exactly ``reduce(seq, target)``.
     """
     if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+        raise ArgumentError(f"limit must be >= 1, got {limit}")
     n = len(seq)
     diagrams = []
     for links in islice(_witness_links(tuple(seq), tuple(target)), limit):

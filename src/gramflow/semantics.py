@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, ShapeError, SizeCapError
+from .errors import DegenerateVectorError, DiagramError, ShapeError, SizeCapError
 from .pregroup import PregroupType, ReductionDiagram, validate_diagram
 from .tensors import SpaceAssignment, cup, kron_all, shape_of
 
@@ -66,7 +66,7 @@ def _checked_sequence(words, diagram, space):
         )
     try:
         validate_diagram(seq, diagram)
-    except ValueError as exc:
+    except DiagramError as exc:
         raise ShapeError(f"diagram does not fit the word sequence: {exc}") from None
     return seq, [space.dim(t.base) for t in seq]
 

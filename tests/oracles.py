@@ -10,13 +10,14 @@ but read, convert and check every value and line on their own.
 import math
 import os
 from collections import Counter
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from gramflow import (
-    LexEntry,
     ParseError,
+    PregroupType,
     ShapeError,
     UnknownWordError,
     choi_embed,
@@ -273,6 +274,49 @@ def model_by_loops(corpus, basis_words, window):
     return vectors, dict(occ)
 
 
+def model_by_lines(path):
+    """A model file read one line and one ``float`` at a time.
+
+    Returns ``(basis words, vectors, counts)``, the dicts in file order.
+    Errors and messages are ``load_model``'s: not UTF-8 (raised when the
+    undecodable text is reached, after every line before it is checked), no
+    ``#basis`` header, repeated basis words, then per line the wrong number
+    of fields, a repeated token, a count ``int`` rejects, a coordinate
+    ``float`` rejects, or the first non-finite coordinate.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header.startswith("#basis"):
+                raise ParseError(f"{path}: missing '#basis' header line")
+            words = header.split()[1:]
+            if len(set(words)) != len(words):
+                word, _ = Counter(words).most_common(1)[0]
+                raise ParseError(f"{path}:1: basis words must be distinct, {word!r} repeats")
+            vectors, counts = {}, {}
+            for ln, line in enumerate(fh, start=2):
+                fields = line.split()
+                if not fields:
+                    continue
+                if len(fields) != 2 + len(words):
+                    raise ParseError(f"{path}:{ln}: expected {2 + len(words)} fields, got {len(fields)}")
+                tok = fields[0]
+                if tok in counts:
+                    raise ParseError(f"{path}:{ln}: duplicate token {tok!r}")
+                try:
+                    counts[tok] = int(fields[1])
+                    coords = [float(text) for text in fields[2:]]
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{ln}: bad number: {exc}") from None
+                for text, x in zip(fields[2:], coords):
+                    if not math.isfinite(x):
+                        raise ParseError(f"{path}:{ln}: bad number: non-finite coordinate {text!r}")
+                vectors[tok] = np.array(coords, dtype=float)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return tuple(words), vectors, counts
+
+
 def simples(ptype):
     """Package type -> plain (name, z) tuples for the oracles above."""
     return tuple((t.base.name, t.z) for t in ptype)
@@ -315,6 +359,15 @@ def tensor_by_floats(path):
         if not math.isfinite(x):
             raise ParseError(f"{path}:{ln}: non-finite tensor value {tok!r}")
     return np.array(values, dtype=float).reshape(shape)
+
+
+@dataclass(frozen=True)
+class LexEntry:
+    """One lexicon line: a word, its type, and its tensor source spec."""
+
+    word: str
+    type: PregroupType
+    source: str
 
 
 def lexicon_by_lines(path, space, model=None):

@@ -190,6 +190,12 @@ def assert_one_line_error(out):
     return lines[0]
 
 
+def test_dims_digits_int_cannot_read_are_data_errors():
+    # "²" is a digit to str.isdigit, but not a decimal int() can read
+    out = run_cli("parse", "alice", "--lexicon", demo.lexicon_path(), "--dims", "n:²")
+    assert "bad --dims entry 'n:²'" in assert_one_line_error(out)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["-k", "0"], "basis size must be >= 1, got 0"),
     (["-k", "2", "--window", "0"], "window must be >= 1, got 0"),

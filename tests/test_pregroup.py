@@ -5,7 +5,10 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from gramflow import (
+    ArgumentError,
     BasicType,
+    DiagramError,
+    GramflowError,
     ParseError,
     PregroupType,
     ReductionDiagram,
@@ -174,7 +177,7 @@ def test_enumerate_examples():
 
 
 def test_enumerate_limit_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError, match=r"^limit must be >= 1, got 0$"):
         enumerate_reductions(SENT, SENT, 0)
 
 
@@ -247,8 +250,9 @@ FAULTS = [
 def test_validate_names_each_fault_like_the_pairwise_oracle(text, links, through, target, message):
     seq = parse_type(text)
     target = None if target is None else parse_type(target)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(DiagramError, match=message) as raised:
         validate_diagram(seq, ReductionDiagram(len(seq), links, through), target)
+    assert isinstance(raised.value, GramflowError) and isinstance(raised.value, ValueError)
     with pytest.raises(ValueError, match=message):
         validate_by_pairs(simples(seq), len(seq), links, through,
                           None if target is None else simples(target))

@@ -121,6 +121,9 @@ def test_diagram_length_mismatch_is_checked():
     diagram = reduce(parse_type("n n^r s"), SENT)
     with pytest.raises(ShapeError, match="positions"):
         meaning([word], diagram, SA22)
+    # the right length, but the cup joins two n wires
+    with pytest.raises(ShapeError, match=r"does not fit the word sequence: link \(0,1\) joins n and n"):
+        meaning([word, word], reduce(parse_type("n n^r"), PregroupType(())), SA22)
 
 
 # ------------------------------------------------- efficient == naive oracle
