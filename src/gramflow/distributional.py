@@ -221,16 +221,24 @@ def save_model(model: VectorSpaceModel, path) -> None:
     floats round-trip bit-exactly.
 
     Raises :class:`ArgumentError`, before the file is opened, for what
-    :func:`load_model` would reject: a token or basis word that is empty or
-    holds whitespace, a vector whose length is not the basis size, or a
-    non-finite coordinate.
+    :func:`load_model` would reject or it could not write: a token or basis
+    word that is empty, holds whitespace or does not encode as UTF-8, a
+    vector whose count is missing or not an integer, a vector whose
+    length is not the basis size, or a non-finite coordinate.
     """
     k = len(model.basis.words)
     for tok in (*model.basis.words, *model.vectors):
         if tok.split() != [tok]:
             raise ArgumentError(f"token {tok!r} is empty or holds whitespace")
+        try:
+            tok.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ArgumentError(f"token {tok!r} does not encode as UTF-8") from None
     with np.errstate(over="ignore"):
         for tok, vec in model.vectors.items():
+            count = model.counts.get(tok)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ArgumentError(f"count of {tok!r} is {count!r}, not an integer")
             vec = np.asarray(vec, dtype=np.float64)
             if vec.shape != (k,):
                 raise ArgumentError(f"vector of {tok!r} has shape {vec.shape}, the basis has {k} words")

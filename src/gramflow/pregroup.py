@@ -124,9 +124,6 @@ class PregroupType:
             return PregroupType(self.simples[key])
         return self.simples[key]
 
-    def __bool__(self):
-        return bool(self.simples)
-
     def __str__(self):
         return " ".join(str(t) for t in self.simples)
 
@@ -228,94 +225,57 @@ def validate_diagram(
             )
 
 
-def _balanced(seq, target) -> bool:
-    # Each cup joins (b, z)(b, z+1) and contributes (-1)^z + (-1)^(z+1) = 0,
-    # so the per-base alternating sum over z is invariant under reduction.
-    sums: dict[BasicType, int] = {}
-    for t in seq:
-        sums[t.base] = sums.get(t.base, 0) + (-1) ** (t.z & 1)
-    for t in target:
-        sums[t.base] = sums.get(t.base, 0) - (-1) ** (t.z & 1)
-    return all(v == 0 for v in sums.values())
-
-
-def _tables(seq, target):
-    """Interval DP tables.
-
-    ``canc[i][j]`` says the half-open interval [i, j) cancels completely:
-    it holds iff position i cups with some k in (i, j) such that (i+1, k)
-    and (k+1, j) both cancel.  ``feas[p][m]`` says the suffix from p reduces
-    to the target suffix from m.
-    """
-    n, m_len = len(seq), len(target)
-    canc = [[False] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        canc[i][i] = True
-    for span in range(2, n + 1, 2):
-        for i in range(n - span + 1):
-            j = i + span
-            ti = seq[i]
-            canc[i][j] = any(
-                contracts(ti, seq[k]) and canc[i + 1][k] and canc[k + 1][j]
-                for k in range(i + 1, j, 2)
-            )
-    feas = [[False] * (m_len + 1) for _ in range(n + 1)]
-    feas[n][m_len] = True
-    for p in range(n - 1, -1, -1):
-        tp = seq[p]
-        for m in range(m_len, -1, -1):
-            ok = m < m_len and tp == target[m] and feas[p + 1][m + 1]
-            if not ok:
-                for j in range(p + 1, n, 2):
-                    if contracts(tp, seq[j]) and canc[p + 1][j] and feas[j + 1][m]:
-                        ok = True
-                        break
-            feas[p][m] = ok
-    return canc, feas
-
-
 def _witness_links(seq, target) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield the link sets of all witnesses in canonical order.
 
-    A witness is emitted as a tuple of links ascending by left endpoint;
-    scanning positions left to right, cups (nearest partner first) are tried
-    before letting a position survive as a through wire, which makes the
-    emission order exactly the lexicographic order of sorted link lists.
+    Reducing ``seq`` to ``target`` is full cancellation of ``ext``: ``seq``
+    followed by the target's right adjoints, last first.  Each through wire
+    is read off its cup to an appended adjoint (the yank of a cup and a
+    cap), and such cups are dropped.  No cup may start at an appended
+    position, or the unit would reduce to ``n^r n`` by expansion.
+    ``canc[i][j]`` says [i, j) of ``ext`` cancels completely: i cups with
+    some k in (i, j) such that [i+1, k) and [k+1, j) cancel.  Each position
+    tries its partners nearest first and an appended one lies rightmost, so
+    witnesses come in the lexicographic order of sorted link lists.
     """
-    if not _balanced(seq, target):
+    n = len(seq)
+    ext = seq + tuple(map(right_adjoint, reversed(target)))
+    size = len(ext)
+    # Each cup joins (b, z)(b, z+1) and adds (-1)^z + (-1)^(z+1) = 0 to the
+    # sum for b; keyed by name, since hashing a BasicType is a Python call
+    sums: dict[str, int] = {}
+    for t in ext:
+        name = t.base.name
+        sums[name] = sums.get(name, 0) + (-1 if t.z & 1 else 1)
+    if any(sums.values()):
         return
-    canc, feas = _tables(seq, target)
-    if not feas[0][0]:
+    canc = [[i == j for j in range(size + 1)] for i in range(size + 1)]
+    for span in range(2, size + 1, 2):
+        # intervals starting at an appended position stay False
+        for i in range(min(size - span + 1, n)):
+            j = i + span
+            ti = ext[i]
+            canc[i][j] = any(
+                contracts(ti, ext[k]) and canc[i + 1][k] and canc[k + 1][j]
+                for k in range(i + 1, j, 2)
+            )
+    if not canc[0][size]:
         return
-    n, m_len = len(seq), len(target)
 
     def full(i, j):
-        # all cup sets cancelling [i, j) completely
+        # all cup sets cancelling [i, j) completely, through-wire cups dropped
         if i == j:
             yield ()
             return
-        ti = seq[i]
+        ti = ext[i]
         for k in range(i + 1, j, 2):
-            if contracts(ti, seq[k]) and canc[i + 1][k] and canc[k + 1][j]:
+            if contracts(ti, ext[k]) and canc[i + 1][k] and canc[k + 1][j]:
+                link = ((i, k),) if k < n else ()
                 for inner in full(i + 1, k):
                     for rest in full(k + 1, j):
-                        yield ((i, k),) + inner + rest
+                        yield link + inner + rest
 
-    def go(p, m):
-        if p == n:
-            if m == m_len:
-                yield ()
-            return
-        tp = seq[p]
-        for j in range(p + 1, n, 2):
-            if contracts(tp, seq[j]) and canc[p + 1][j] and feas[j + 1][m]:
-                for inner in full(p + 1, j):
-                    for rest in go(j + 1, m):
-                        yield ((p, j),) + inner + rest
-        if m < m_len and tp == target[m] and feas[p + 1][m + 1]:
-            yield from go(p + 1, m + 1)
-
-    yield from go(0, 0)
+    yield from full(0, size)
 
 
 def reduce(seq: PregroupType, target: PregroupType) -> Optional[ReductionDiagram]:

@@ -17,7 +17,7 @@ from functools import reduce as _fold
 
 import numpy as np
 
-from .errors import ParseError, SpaceError
+from .errors import ArgumentError, ParseError, SpaceError
 from .pregroup import BasicType, PregroupType
 
 __all__ = ["SpaceAssignment", "shape_of", "kron", "cup", "read_tensor", "write_tensor"]
@@ -34,7 +34,7 @@ class SpaceAssignment:
         for base, d in self.dims.items():
             name = base.name if isinstance(base, BasicType) else str(base)
             if int(d) < 1:
-                raise ValueError(f"dimension for base {name!r} must be >= 1, got {d}")
+                raise ArgumentError(f"dimension for base {name!r} must be >= 1, got {d}")
             clean[name] = int(d)
         object.__setattr__(self, "dims", clean)
 

@@ -248,6 +248,14 @@ def test_non_utf8_lexicon_and_tensor_files_are_data_errors(tmp_path):
     assert "alice.tns: not UTF-8 text" in assert_one_line_error(out)
 
 
+@pytest.mark.parametrize("dims", [[], ["--dims", "s:2"]])
+def test_empty_basis_model_is_a_data_error(tmp_path, dims):
+    (tmp_path / "model.txt").write_text("#basis\n")
+    out = run_cli("parse", "Alice hates Bob", "--lexicon", demo.lexicon_path(),
+                  "--model", str(tmp_path / "model.txt"), *dims)
+    assert "dimension for base 'n' must be >= 1, got 0" in assert_one_line_error(out)
+
+
 def test_model_feeds_noun_dimension(tmp_path):
     model_path = tmp_path / "model.txt"
     run_cli("space", "build", demo.corpus_path(), "-k", "2", "--out", str(model_path))

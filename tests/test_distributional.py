@@ -256,11 +256,24 @@ def test_model_file_rejects_non_utf8(tmp_path):
     VectorSpaceModel(BasisSpec(("a",)), {"two words": np.zeros(1)}, {"two words": 1}),
     VectorSpaceModel(BasisSpec(("a",)), {"": np.zeros(1)}, {"": 1}),
     VectorSpaceModel(BasisSpec(("a b",)), {"w": np.zeros(1)}, {"w": 1}),
-], ids=["too long", "2-d", "nan", "-inf", "spaced token", "empty token", "spaced basis word"])
+    VectorSpaceModel(BasisSpec(("a",)), {"v": np.zeros(1), "w": np.zeros(1)}, {"v": 1}),
+    VectorSpaceModel(BasisSpec(("a",)), {"w": np.zeros(1)}, {"w": 2.5}),
+    VectorSpaceModel(BasisSpec(("a",)), {"w": np.zeros(1)}, {"w": True}),
+    VectorSpaceModel(BasisSpec(("a",)), {"v": np.zeros(1), "w\udcff": np.zeros(1)},
+                     {"v": 1, "w\udcff": 1}),
+    VectorSpaceModel(BasisSpec(("a\udcff",)), {"w": np.zeros(1)}, {"w": 1}),
+], ids=["too long", "2-d", "nan", "-inf", "spaced token", "empty token", "spaced basis word",
+        "no count", "float count", "bool count", "unencodable token", "unencodable basis word"])
 def test_save_model_rejects_what_load_model_would(tmp_path, bad):
     with pytest.raises(ArgumentError):
         save_model(bad, tmp_path / "m.txt")
     assert not (tmp_path / "m.txt").exists()
+
+
+def test_save_model_writes_numpy_integer_counts(tmp_path):
+    model = VectorSpaceModel(BasisSpec(("a",)), {"w": np.array([0.5])}, {"w": np.int64(3)})
+    save_model(model, tmp_path / "m.txt")
+    assert load_model(tmp_path / "m.txt").counts == {"w": 3}
 
 
 def test_save_model_accepts_finite_coordinates_whose_squares_overflow(tmp_path):

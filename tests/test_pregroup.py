@@ -349,11 +349,43 @@ def test_existence_matches_oracles_exhaustive_small():
 
 def test_enumeration_matches_oracle_witness_sets():
     rng = random.Random(23)
-    for _ in range(300):
-        seq = random_type(rng, rng.randrange(0, 7))
-        target = random_type(rng, rng.randrange(0, 2))
+    reached = set()
+    for i in range(600):
+        target = random_type(rng, rng.randrange(0, 4))
+        if i % 2:
+            seq = random_reducible(rng, target, rng.randrange(0, 3))
+        else:
+            seq = random_type(rng, rng.randrange(0, 7))
         mine = [d.links for d in enumerate_reductions(seq, target, 10_000)]
         assert mine == oracle_witnesses(simples(seq), simples(target))
+        if mine:
+            reached.add(len(target))
+    assert reached == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("seq, target", [
+    ("", "n^r n"),
+    ("n", "n n^r n"),
+    ("s", "s n^r n"),
+    ("n^r n", "n^r n n^r n"),
+])
+def test_target_is_never_reached_by_expansion(seq, target):
+    seq, target = parse_type(seq), parse_type(target)
+    assert oracle_witnesses(simples(seq), simples(target)) == []
+    assert reduce(seq, target) is None
+    assert enumerate_reductions(seq, target, 10) == []
+
+
+def test_two_wire_target_nests_its_through_cups():
+    seq, target = parse_type("s s s^l s s^r s"), parse_type("s s")
+    found = enumerate_reductions(seq, target, 10)
+    assert [d.links for d in found] == oracle_witnesses(simples(seq), simples(target))
+    assert [(d.links, d.through) for d in found] == [
+        (((1, 4), (2, 3)), (0, 5)),
+        (((2, 5), (3, 4)), (0, 1)),
+    ]
+    for d in found:
+        validate_diagram(seq, d, target)
 
 
 def test_canonical_choice_is_lexicographic_minimum():

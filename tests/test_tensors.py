@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gramflow import (
+    ArgumentError,
     BasicType,
     ParseError,
     SpaceAssignment,
@@ -40,8 +41,9 @@ def test_space_assignment_accepts_basic_type_keys_and_rejects_bad_dims():
     sa = SpaceAssignment({BasicType("n"): 3})
     assert sa.dim("n") == 3
     assert sa.dim(BasicType("n")) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError, match=r"^dimension for base 'n' must be >= 1, got 0$") as err:
         SpaceAssignment({"n": 0})
+    assert isinstance(err.value, ValueError)
 
 
 def test_kron_basis_vectors():
