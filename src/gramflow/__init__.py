@@ -31,7 +31,6 @@ from .errors import (
 )
 from .lexicon import Lexicon, load_lexicon, make_logical_does, make_logical_not
 from .pregroup import (
-    BasicType,
     PregroupType,
     ReductionDiagram,
     SimpleType,

@@ -125,6 +125,8 @@ def cmd_meaning(args):
         _emit(args, {"words": words, "grammatical": False}, ["no reduction to s"])
         return EXIT_REJECTED
     vec = meaning(bound, diagram, space)
+    if not np.isfinite(vec).all():
+        raise GramflowError("meaning vector overflowed: a coordinate is not finite")
     payload = _diagram_payload(words, bound, diagram) | {"vector": [float(x) for x in vec.ravel()]}
     _emit(args, payload, [" ".join(words), str(diagram), f"meaning: {_fmt_vector(vec)}"])
     return EXIT_OK
@@ -215,7 +217,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # results are checked for non-finite values, so numpy's overflow
+        # warnings would only repeat the error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except GramflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -34,7 +34,7 @@ class UnknownWordError(GramflowError):
 
 
 class DegenerateVectorError(GramflowError):
-    """A zero vector was passed where a direction is required."""
+    """A zero or non-finite vector was passed where a direction is required."""
 
 
 class CorpusError(GramflowError):

@@ -1,13 +1,15 @@
 """Pregroup type calculus and planar reduction search.
 
 Grammatical types are sequences of basic types, each carrying an integer
-adjoint order z: z = 0 is the plain type, each left adjoint decrements z and
-each right adjoint increments it, so ``n^l`` is (n, -1) and ``n^r`` is
-(n, +1).  A pair of adjacent simple types cancels when the right one is the
-right adjoint of the left one, i.e. (b, z) followed by (b, z+1).  A sequence
-reduces to a target type by repeatedly cancelling such pairs; the cancelled
-pairs of a successful reduction form a planar, fully nested set of cups which
-this module searches for and returns as :class:`ReductionDiagram` values.
+adjoint order z.  A basic type is its name, a plain string.  z = 0 is the
+plain type, each left adjoint decrements z and each right adjoint increments
+it, so ``n^l`` is ``SimpleType("n", -1)`` and ``n^r`` is
+``SimpleType("n", 1)``.  A pair of adjacent simple types cancels when the
+right one is the right adjoint of the left one, i.e. (b, z) followed by
+(b, z+1).  A sequence reduces to a target type by repeatedly cancelling such
+pairs; the cancelled pairs of a successful reduction form a planar, fully
+nested set of cups which this module searches for and returns as
+:class:`ReductionDiagram` values.
 
 >>> seq = parse_type("n n^r s n^l n")
 >>> print(reduce(seq, parse_type("s")))
@@ -26,7 +28,6 @@ from typing import Iterator, Optional
 from .errors import ArgumentError, DiagramError, ParseError
 
 __all__ = [
-    "BasicType",
     "SimpleType",
     "PregroupType",
     "ReductionDiagram",
@@ -43,38 +44,26 @@ __all__ = [
 
 
 @dataclass(frozen=True, order=True)
-class BasicType:
-    """A named atomic grammatical type, e.g. the noun type ``n``."""
-
-    name: str
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("basic type name must be non-empty")
-
-    def __str__(self):
-        return self.name
-
-
-@dataclass(frozen=True, order=True)
 class SimpleType:
-    """A basic type together with its adjoint order z.
+    """A basic type, given by its name, together with its adjoint order z.
 
-    >>> n = SimpleType(BasicType("n"))
-    >>> print(right_adjoint(n))
+    >>> n = SimpleType("n")
+    >>> print(SimpleType("n", 1))
     n^r
+    >>> right_adjoint(n) == SimpleType("n", 1)
+    True
     >>> left_adjoint(right_adjoint(n)) == n
     True
     """
 
-    base: BasicType
+    base: str
     z: int = 0
 
     def __str__(self):
         if self.z == 0:
-            return self.base.name
+            return self.base
         mark = "l" * -self.z if self.z < 0 else "r" * self.z
-        return f"{self.base.name}^{mark}"
+        return f"{self.base}^{mark}"
 
 
 def left_adjoint(t: SimpleType) -> SimpleType:
@@ -149,7 +138,7 @@ def parse_type(text: str) -> PregroupType:
         z = 0
         for mark in marks or "":
             z += 1 if mark == "r" else -1
-        simples.append(SimpleType(BasicType(name), z))
+        simples.append(SimpleType(name, z))
     return PregroupType(tuple(simples))
 
 
@@ -241,12 +230,10 @@ def _witness_links(seq, target) -> Iterator[tuple[tuple[int, int], ...]]:
     n = len(seq)
     ext = seq + tuple(map(right_adjoint, reversed(target)))
     size = len(ext)
-    # Each cup joins (b, z)(b, z+1) and adds (-1)^z + (-1)^(z+1) = 0 to the
-    # sum for b; keyed by name, since hashing a BasicType is a Python call
+    # a cup joins (b, z)(b, z+1), adding (-1)^z + (-1)^(z+1) = 0 to b's sum
     sums: dict[str, int] = {}
     for t in ext:
-        name = t.base.name
-        sums[name] = sums.get(name, 0) + (-1 if t.z & 1 else 1)
+        sums[t.base] = sums.get(t.base, 0) + (-1 if t.z & 1 else 1)
     if any(sums.values()):
         return
     canc = [[i == j for j in range(size + 1)] for i in range(size + 1)]
@@ -315,7 +302,7 @@ def enumerate_reductions(
 def is_sentence(seq: PregroupType, sentence: Optional[PregroupType] = None) -> bool:
     """True when the sequence reduces to the sentence type (default ``s``)."""
     if sentence is None:
-        sentence = PregroupType((SimpleType(BasicType("s")),))
+        sentence = PregroupType((SimpleType("s"),))
     return reduce(seq, sentence) is not None
 
 

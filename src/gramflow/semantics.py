@@ -18,6 +18,7 @@ independent sentences can be evaluated concurrently without coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,7 +213,11 @@ def is_separable(tensor, split_after: int, tol: float = 1e-9) -> bool:
 
 
 def cosine(u, v) -> float:
-    """Cosine of the angle between two vectors of equal shape."""
+    """Cosine of the angle between two vectors of equal shape.
+
+    A zero vector, or one whose norm is not finite, raises
+    :class:`DegenerateVectorError`.
+    """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if u.shape != v.shape:
@@ -220,4 +225,6 @@ def cosine(u, v) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateVectorError("cosine of a zero vector is undefined")
+    if not (math.isfinite(nu) and math.isfinite(nv)):
+        raise DegenerateVectorError("cosine of a vector with a non-finite norm is undefined")
     return float(np.dot(u, v) / (nu * nv))

@@ -18,32 +18,33 @@ from functools import reduce as _fold
 import numpy as np
 
 from .errors import ArgumentError, ParseError, SpaceError
-from .pregroup import BasicType, PregroupType
+from .pregroup import PregroupType
 
 __all__ = ["SpaceAssignment", "shape_of", "kron", "cup", "read_tensor", "write_tensor"]
 
 
 @dataclass(frozen=True)
 class SpaceAssignment:
-    """Dimension of the vector space attached to each basic type."""
+    """Dimension of the vector space attached to each basic type, by name."""
 
     dims: dict
 
     def __post_init__(self):
         clean = {}
         for base, d in self.dims.items():
-            name = base.name if isinstance(base, BasicType) else str(base)
-            if int(d) < 1:
+            name = str(base)
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+                raise ArgumentError(f"dimension for base {name!r} is {d!r}, not an integer")
+            if d < 1:
                 raise ArgumentError(f"dimension for base {name!r} must be >= 1, got {d}")
             clean[name] = int(d)
         object.__setattr__(self, "dims", clean)
 
-    def dim(self, base) -> int:
-        name = base.name if isinstance(base, BasicType) else str(base)
+    def dim(self, base: str) -> int:
         try:
-            return self.dims[name]
+            return self.dims[base]
         except KeyError:
-            raise SpaceError(f"no dimension assigned to basic type {name!r}") from None
+            raise SpaceError(f"no dimension assigned to basic type {base!r}") from None
 
 
 def shape_of(ptype: PregroupType, space: SpaceAssignment) -> tuple[int, ...]:

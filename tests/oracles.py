@@ -319,7 +319,7 @@ def model_by_lines(path):
 
 def simples(ptype):
     """Package type -> plain (name, z) tuples for the oracles above."""
-    return tuple((t.base.name, t.z) for t in ptype)
+    return tuple((t.base, t.z) for t in ptype)
 
 
 def tensor_by_floats(path):

@@ -16,7 +16,6 @@ import numpy as np
 
 import gramflow.demo as demo
 from gramflow import (
-    BasicType,
     PregroupType,
     SimpleType,
     SpaceAssignment,
@@ -42,8 +41,8 @@ from gramflow.pregroup import left_adjoint, right_adjoint
 from oracles import oracle_exists
 
 SENT = parse_type("s")
-ALPHABET = [SimpleType(BasicType(b), z) for b in ("n", "s") for z in (-1, 0, 1)]
-PLAIN = [(t.base.name, t.z) for t in ALPHABET]
+ALPHABET = [SimpleType(b, z) for b in ("n", "s") for z in (-1, 0, 1)]
+PLAIN = [(t.base, t.z) for t in ALPHABET]
 TARGET_PLAIN = (("s", 0),)
 
 
@@ -111,7 +110,7 @@ def test_c2_grammar_recognition():
 # 3 ------------------------------------------------------------------------
 
 def _random_reducible_sentence(rng):
-    simples = [SimpleType(BasicType("s"), 0)]
+    simples = [SimpleType("s", 0)]
     for _ in range(int(rng.integers(1, 6))):
         t = ALPHABET[int(rng.integers(0, 6))]
         pair = [t, right_adjoint(t)] if rng.random() < 0.5 else [left_adjoint(t), t]

@@ -143,6 +143,20 @@ def test_compare_zero_meaning_is_a_data_error(tmp_path):
     assert "zero" in out.stderr
 
 
+@pytest.mark.parametrize("sub, sentences, message", [
+    ("meaning", ["al runs"], "error: meaning vector overflowed: a coordinate is not finite"),
+    ("compare", ["al runs", "al runs"], "error: cosine of a vector with a non-finite norm"),
+])
+def test_overflowing_meaning_is_a_data_error(tmp_path, sub, sentences, message):
+    (tmp_path / "al.tns").write_text("2\n1e200 1e200\n")
+    (tmp_path / "runs.tns").write_text("2 2\n1e200 1\n1e200 2\n")
+    (tmp_path / "lex.tsv").write_text("al\tn\ttensor:al.tns\nruns\tn^r s\ttensor:runs.tns\n")
+    out = run_cli("--json", sub, *sentences, "--lexicon", str(tmp_path / "lex.tsv"),
+                  "--dims", "n:2,s:2")
+    assert assert_one_line_error(out).startswith(message)
+    assert out.stdout == ""
+
+
 # ------------------------------------------------------------- space build
 
 def test_space_build_writes_model(tmp_path):

@@ -6,13 +6,13 @@ from hypothesis import event, given, settings, strategies as st
 
 from gramflow import (
     ArgumentError,
-    BasicType,
     DiagramError,
     GramflowError,
     ParseError,
     PregroupType,
     ReductionDiagram,
     SimpleType,
+    SpaceAssignment,
     ascii_diagram,
     contracts,
     enumerate_reductions,
@@ -33,8 +33,8 @@ from oracles import (
     validate_by_pairs,
 )
 
-N = BasicType("n")
-S = BasicType("s")
+N = "n"
+S = "s"
 SENT = parse_type("s")
 ALPHABET = [SimpleType(b, z) for b in (N, S) for z in (-1, 0, 1)]
 
@@ -120,6 +120,15 @@ def test_contraction_shift_property():
         assert contracts(t, right_adjoint(t))
         assert contracts(left_adjoint(t), t)
         assert not contracts(t, t)
+
+
+def test_a_basic_type_is_its_name():
+    base = parse_type("n^r s")[0].base
+    assert base == "n" and type(base) is str
+    assert len({SimpleType("n"), parse_type("n")[0]}) == 1
+    ordered = sorted(parse_type("s n^r n s^l n^l"))
+    assert [(t.base, t.z) for t in ordered] == [("n", -1), ("n", 0), ("n", 1), ("s", -1), ("s", 0)]
+    assert SpaceAssignment({"n": 3}).dim(parse_type("n")[0].base) == 3
 
 
 # ---------------------------------------------------------------- reduce

@@ -30,7 +30,7 @@ from gramflow import (
     validate_diagram,
 )
 from gramflow import semantics
-from gramflow.pregroup import BasicType, left_adjoint, right_adjoint
+from gramflow.pregroup import left_adjoint, right_adjoint
 
 from oracles import bracket_diagram, meaning_by_loops
 
@@ -129,7 +129,7 @@ def test_diagram_length_mismatch_is_checked():
 # ------------------------------------------------- efficient == naive oracle
 
 def random_sentence_case(rng):
-    alphabet = [SimpleType(BasicType(b), z) for b in ("n", "s") for z in (-1, 0, 1)]
+    alphabet = [SimpleType(b, z) for b in ("n", "s") for z in (-1, 0, 1)]
     target = PregroupType(tuple(rng.choice(alphabet) for _ in range(rng.integers(0, 3))))
     simples = list(target)
     for _ in range(int(rng.integers(0, 5))):
@@ -219,7 +219,7 @@ def test_unit_type_words_scale_the_meaning(at):
 def sentence_cases(draw):
     """Words cut at random from a random fully nested diagram, unit-type words mixed in."""
     n, links, through = bracket_diagram(draw(st.text(alphabet="().", max_size=7)))
-    alphabet = [SimpleType(BasicType(b), z) for b in ("n", "s") for z in (-1, 0, 1)]
+    alphabet = [SimpleType(b, z) for b in ("n", "s") for z in (-1, 0, 1)]
     types = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
     for i, j in links:
         types[j] = right_adjoint(types[i])
@@ -291,9 +291,9 @@ def test_negated_sentence_intermediates_stay_small(monkeypatch):
 
 def test_two_thousand_nested_cups_take_linear_time():
     depth = 2000
-    seq = PregroupType(tuple([SimpleType(BasicType("n"))] * depth
-                             + [SimpleType(BasicType("n"), 1)] * depth
-                             + [SimpleType(BasicType("s"))]))
+    seq = PregroupType(tuple([SimpleType("n")] * depth
+                             + [SimpleType("n", 1)] * depth
+                             + [SimpleType("s")]))
     links = tuple((k, 2 * depth - 1 - k) for k in range(depth))
     diagram = ReductionDiagram(2 * depth + 1, links, (2 * depth,))
     v = np.array([0.6, 0.8])
@@ -410,6 +410,13 @@ def test_cosine_rejects_zero_vectors_and_shape_mismatch():
         cosine([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ShapeError):
         cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("u", [[np.inf, 1.0], [np.nan, 1.0]])
+def test_cosine_rejects_vectors_with_non_finite_norms(u):
+    for a, b in ((u, [1.0, 0.0]), ([1.0, 0.0], u)):
+        with pytest.raises(DegenerateVectorError, match="non-finite norm"):
+            cosine(a, b)
 
 
 # ----------------------------------------------- semantic claims about verbs

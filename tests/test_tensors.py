@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from gramflow import (
     ArgumentError,
-    BasicType,
     ParseError,
     SpaceAssignment,
     SpaceError,
@@ -38,12 +37,24 @@ def test_shape_of_missing_base():
 
 
 def test_space_assignment_accepts_basic_type_keys_and_rejects_bad_dims():
-    sa = SpaceAssignment({BasicType("n"): 3})
+    sa = SpaceAssignment({"n": 3})
     assert sa.dim("n") == 3
-    assert sa.dim(BasicType("n")) == 3
+    assert sa.dim("n") == 3
     with pytest.raises(ArgumentError, match=r"^dimension for base 'n' must be >= 1, got 0$") as err:
         SpaceAssignment({"n": 0})
     assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("d", [2.5, True, "x", 3.0, None])
+def test_space_assignment_rejects_dims_that_are_not_integers(d):
+    with pytest.raises(ArgumentError, match=r"^dimension for base 'n' is .+, not an integer$"):
+        SpaceAssignment({"n": d})
+
+
+def test_space_assignment_accepts_numpy_integer_dims():
+    sa = SpaceAssignment({"n": np.int64(3), "s": np.uint8(2)})
+    assert sa.dims == {"n": 3, "s": 2}
+    assert all(type(d) is int for d in sa.dims.values())
 
 
 def test_kron_basis_vectors():
