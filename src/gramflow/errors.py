@@ -26,7 +26,7 @@ class ShapeError(GramflowError):
 
 
 class SizeCapError(GramflowError):
-    """Naive evaluation would materialize more entries than the configured cap."""
+    """An evaluation would materialize more entries than its cap allows."""
 
 
 class UnknownWordError(GramflowError):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce as _fold
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -23,11 +25,15 @@ from .pregroup import PregroupType
 __all__ = ["SpaceAssignment", "shape_of", "kron", "cup", "read_tensor", "write_tensor"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceAssignment:
-    """Dimension of the vector space attached to each basic type, by name."""
+    """Dimension of the vector space attached to each basic type, by name.
 
-    dims: dict
+    Immutable: ``dims`` is a read-only mapping, and two assignments of the
+    same dimensions compare and hash equal, so a space can key a cache.
+    """
+
+    dims: Mapping[str, int]
 
     def __post_init__(self):
         clean = {}
@@ -38,7 +44,16 @@ class SpaceAssignment:
             if d < 1:
                 raise ArgumentError(f"dimension for base {name!r} must be >= 1, got {d}")
             clean[name] = int(d)
-        object.__setattr__(self, "dims", clean)
+        object.__setattr__(self, "dims", MappingProxyType(clean))
+        object.__setattr__(self, "_items", tuple(sorted(clean.items())))
+
+    def __eq__(self, other):
+        if not isinstance(other, SpaceAssignment):
+            return NotImplemented
+        return self._items == other._items
+
+    def __hash__(self):
+        return hash(self._items)
 
     def dim(self, base: str) -> int:
         try:

@@ -1,8 +1,13 @@
+import math
+import re
+import sys
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gramflow import (
     DegenerateVectorError,
@@ -30,6 +35,7 @@ from gramflow import (
     validate_diagram,
 )
 from gramflow import semantics
+from gramflow.semantics import DEFAULT_SIZE_CAP, contraction_plan
 from gramflow.pregroup import left_adjoint, right_adjoint
 
 from oracles import bracket_diagram, meaning_by_loops
@@ -238,10 +244,70 @@ def sentence_cases(draw):
     return words, ReductionDiagram(n, links, through), space
 
 
+def left_to_right_cost(words, diagram):
+    """(largest intermediate, FLOPs) of the left-to-right stack walk, from shapes.
+
+    Before contraction plans, ``meaning`` walked the wires left to right with
+    a stack of partial tensors.  At a cup's right end it traced the current
+    tensor when the left end was one of its axes, else took a one-axis
+    tensordot with the stack top.  It then folded the stack by outer
+    products and multiplied by the product of the scalar words.  No plan may
+    cost more than that walk.
+    """
+    rights = {j: i for i, j in diagram.links}
+    stack, sizes, flops, start = [], [], 0, 0
+
+    def step(shape, summed):
+        nonlocal flops
+        sizes.append(math.prod(shape))
+        flops += math.prod(shape) * summed
+
+    for w in words:
+        cur, open_axes = list(np.shape(w.tensor)), 0
+        for p in range(start, start + len(w.type)):
+            if p not in rights:
+                open_axes += 1
+            elif open_axes:
+                d = cur[open_axes]
+                del cur[open_axes - 1:open_axes + 1]
+                open_axes -= 1
+                step(cur, d)
+            else:
+                top = stack.pop()
+                open_axes = len(top) - 1
+                cur = top[:-1] + cur[1:]
+                step(cur, top[-1])
+        start += len(w.type)
+        if cur:
+            stack.append(cur)
+        else:
+            flops += 1
+    out = []
+    for k, shape in enumerate(stack):
+        out = out + shape
+        if k:
+            step(out, 1)
+    step(out, 1)
+    return max(sizes), flops
+
+
+# tracing "s s^r" before the cup to "n" costs more than after it when d_s = 1
+TRACE_LATE = (
+    [WordMeaning("a", parse_type("n"), np.arange(1.0, 4.0)),
+     WordMeaning("w", parse_type("n^r s s^r"), np.arange(3.0).reshape(3, 1, 1))],
+    ReductionDiagram(4, ((0, 1), (2, 3)), ()),
+    SpaceAssignment({"n": 3, "s": 1}),
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(sentence_cases())
+@example(TRACE_LATE)
 def test_meaning_matches_naive_and_loops(case):
     words, diagram, space = case
+    plan = contraction_plan(tuple(w.type for w in words), diagram, space)
+    peak, flops = left_to_right_cost(words, diagram)
+    assert plan.peak <= peak and plan.flops <= flops
     fast = meaning(words, diagram, space)
     slow = meaning_naive(words, diagram, space)
     assert fast.shape == slow.shape
@@ -254,17 +320,23 @@ def test_meaning_matches_naive_and_loops(case):
         assert np.max(np.abs(fast - looped), initial=0.0) <= 1e-9 * scale
 
 
-def test_negated_sentence_intermediates_stay_small(monkeypatch):
-    """At n=s=8 no contraction step of "alice does not like bob" exceeds 8**5 entries."""
-    rng = np.random.default_rng(37)
-    space = SpaceAssignment({"n": 8, "s": 8})
-    alice = WordMeaning("alice", parse_type("n"), rng.normal(size=8))
-    like = WordMeaning("like", parse_type("n^r s n^l"), rng.normal(size=(8, 8, 8)))
-    bob = WordMeaning("bob", parse_type("n"), rng.normal(size=8))
-    negation = rng.normal(size=(8, 8))
+def negated_sentence(d, seed):
+    """Words, diagram and space of "alice does not like bob" at n=s=d, and its value."""
+    rng = np.random.default_rng(seed)
+    space = SpaceAssignment({"n": d, "s": d})
+    alice = WordMeaning("alice", parse_type("n"), rng.normal(size=d))
+    like = WordMeaning("like", parse_type("n^r s n^l"), rng.normal(size=(d, d, d)))
+    bob = WordMeaning("bob", parse_type("n"), rng.normal(size=d))
+    negation = rng.normal(size=(d, d))
     words = [alice, make_logical_does(space), make_logical_not(space, negation), like, bob]
     seq = PregroupType(tuple(t for w in words for t in w.type))
-    diagram = reduce(seq, SENT)
+    want = negation @ np.einsum("i,iaj,j->a", alice.tensor, like.tensor, bob.tensor)
+    return words, reduce(seq, SENT), space, want
+
+
+def test_negated_sentence_intermediates_stay_small(monkeypatch):
+    """At n=s=8 no contraction step of "alice does not like bob" exceeds 8**3 entries."""
+    words, diagram, space, want = negated_sentence(8, 37)
     sizes = []
 
     class RecordingNumpy:
@@ -284,9 +356,91 @@ def test_negated_sentence_intermediates_stay_small(monkeypatch):
     monkeypatch.setattr(semantics, "np", RecordingNumpy())
     got = meaning(words, diagram, space)
     monkeypatch.undo()
-    assert sizes and max(sizes) <= 8**5
-    want = negation @ np.einsum("i,iaj,j->a", alice.tensor, like.tensor, bob.tensor)
+    assert sizes and max(sizes) <= 8**3
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_negated_sentence_at_d64_builds_no_intermediate_above_d_squared():
+    # the left-to-right order peaks at d**3; einsum_path's optimum is d**2
+    d = 64
+    words, diagram, space, want = negated_sentence(d, 41)
+    plan = contraction_plan(tuple(w.type for w in words), diagram, space)
+    assert plan.peak == d**2
+    got = meaning(words, diagram, space)
+    assert got.shape == (d,)
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_cached_plan_still_checks_tensor_shapes():
+    rng = np.random.default_rng(43)
+    seq = parse_type("n n^r s n^l n")
+    words = make_words(rng, seq, [1, 4], SA22)
+    diagram = reduce(seq, SENT)
+    first = meaning(words, diagram, SA22)
+    hits = contraction_plan.cache_info().hits
+    assert np.array_equal(meaning(words, diagram, SpaceAssignment({"s": 2, "n": 2})), first)
+    assert contraction_plan.cache_info().hits == hits + 1
+    words[2] = WordMeaning("bob", parse_type("n"), np.zeros(3))
+    message = "word 'bob': tensor shape [3] does not match type 'n' with shape [2]"
+    for _ in range(2):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            meaning(words, diagram, SA22)
+
+
+def test_threads_sharing_the_plan_cache_get_the_same_values():
+    cases = [negated_sentence(4, seed)[:3] for seed in range(3)]
+    cases.append((make_words(np.random.default_rng(47), parse_type("n n^r s n^l n"), [1, 4], SA22),
+                  reduce(parse_type("n n^r s n^l n"), SENT), SA22))
+    want = [meaning(*case) for case in cases]
+    wrong = []
+
+    def work(k):
+        for rep in range(60):
+            if (rep + k) % 15 == 0:
+                contraction_plan.cache_clear()
+            for case, value in zip(cases, want):
+                if not np.array_equal(meaning(*case), value):
+                    wrong.append((k, rep))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def test_plan_over_the_size_cap_is_refused_before_allocating():
+    d = 300
+    space = SpaceAssignment({"n": d})
+    nouns = [WordMeaning(f"w{k}", parse_type("n"), np.ones(d)) for k in range(3)]
+    seq = parse_type("n n n")
+    diagram = reduce(seq, seq)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="27000000 entries"):
+            meaning(nouns, diagram, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d**3 * 8 // 1000
+    # two nouns fit under the cap
+    assert meaning(nouns[:2], reduce(seq[:2], seq[:2]), space).shape == (d, d)
+
+
+def test_plan_as_large_as_a_word_is_not_refused():
+    # one step holds more than the cap, but no more than the word tensor
+    space = SpaceAssignment({"n": 216})
+    types = (parse_type("n n n"), UNIT)
+    diagram = reduce(types[0], types[0])
+    plan = contraction_plan(types, diagram, space)
+    assert DEFAULT_SIZE_CAP < plan.peak == 216**3
 
 
 def test_two_thousand_nested_cups_take_linear_time():
@@ -410,6 +564,18 @@ def test_cosine_rejects_zero_vectors_and_shape_mismatch():
         cosine([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ShapeError):
         cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_cosine_of_huge_and_tiny_vectors(scale):
+    v = [scale, scale]
+    assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+    assert cosine(v, [1.0, 0.0]) == pytest.approx(2 ** -0.5, abs=1e-12)
+    assert cosine([3 * scale, 4 * scale], [4.0, -3.0]) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(DegenerateVectorError, match="zero vector"):
+        cosine(v, [0.0, 0.0])
+    with pytest.raises(DegenerateVectorError, match="non-finite norm"):
+        cosine(v, [np.inf, scale])
 
 
 @pytest.mark.parametrize("u", [[np.inf, 1.0], [np.nan, 1.0]])

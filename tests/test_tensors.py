@@ -57,6 +57,17 @@ def test_space_assignment_accepts_numpy_integer_dims():
     assert all(type(d) is int for d in sa.dims.values())
 
 
+def test_space_assignment_is_immutable_and_hashable():
+    sa = SpaceAssignment({"n": 3, "s": 2})
+    with pytest.raises(TypeError):
+        sa.dims["n"] = 4
+    same = SpaceAssignment({"s": np.int64(2), "n": 3})
+    assert sa == same and hash(sa) == hash(same)
+    assert sa != SpaceAssignment({"n": 3, "s": 3})
+    assert sa != SpaceAssignment({"n": 3})
+    assert {sa: 1}[same] == 1
+
+
 def test_kron_basis_vectors():
     out = kron([1.0, 0.0], [0.0, 1.0])
     assert out.shape == (2, 2)
