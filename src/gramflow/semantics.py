@@ -435,7 +435,9 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=float).ravel()
     if u.shape != v.shape:
         raise ShapeError(f"shape mismatch: {u.shape} vs {v.shape}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    # the bits of np.linalg.norm (the root of dot), but vdot gives no overflow
+    # warning: a square sum that overflows is rescaled below
+    nu, nv = math.sqrt(np.vdot(u, u)), math.sqrt(np.vdot(v, v))
     if not (_TINY_NORM < nu < _HUGE_NORM and _TINY_NORM < nv < _HUGE_NORM):
         top_u, top_v = np.max(np.abs(u), initial=0.0), np.max(np.abs(v), initial=0.0)
         if top_u == 0.0 or top_v == 0.0:

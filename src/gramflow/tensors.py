@@ -101,7 +101,8 @@ def read_tensor(path) -> np.ndarray:
 
     Line 1 holds the space-separated dimensions (empty for a rank-0 tensor),
     later lines hold the row-major values; ``#`` lines are comments.  Text
-    that is not UTF-8 and ``nan`` or infinite values raise ``ParseError``.
+    that is not UTF-8, a negative dimension, a shape numpy cannot hold and
+    ``nan`` or infinite values raise ``ParseError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -117,6 +118,8 @@ def read_tensor(path) -> np.ndarray:
         shape = tuple(int(tok) for tok in header)
     except ValueError:
         raise ParseError(f"{path}: bad dimension line {lines[0][1]!r}") from None
+    if min(shape, default=0) < 0:
+        raise ParseError(f"{path}: negative dimension in {lines[0][1]!r}")
     tokens = " ".join(line for _, line in lines[1:]).split()
     try:
         # parses each text exactly as float() does, in one call
@@ -133,7 +136,10 @@ def read_tensor(path) -> np.ndarray:
             rest -= len(line.split())
             if rest < 0:
                 raise ParseError(f"{path}:{ln}: non-finite tensor value {tokens[first]!r}")
-    return values.reshape(shape)
+    try:
+        return values.reshape(shape)
+    except ValueError as exc:  # more axes than numpy allows, or an empty shape too large
+        raise ParseError(f"{path}: unsupported shape {list(shape)}: {exc}") from None
 
 
 def write_tensor(tensor, path) -> None:

@@ -566,6 +566,7 @@ def test_cosine_rejects_zero_vectors_and_shape_mismatch():
         cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_cosine_of_huge_and_tiny_vectors(scale):
     v = [scale, scale]

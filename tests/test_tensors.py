@@ -149,6 +149,10 @@ def test_tensor_file_comments_and_errors(tmp_path):
     with pytest.raises(ParseError, match="dimension"):
         read_tensor(path)
 
+    path.write_text("-2 -2\n1 2 3 4\n")
+    with pytest.raises(ParseError, match="c.tns: negative dimension in '-2 -2'"):
+        read_tensor(path)
+
 
 @pytest.mark.parametrize("text, message", [
     ("2 2\n1.0 nan\n3.0 4.0\n", "t.tns:2: non-finite tensor value 'nan'"),
@@ -205,3 +209,26 @@ def test_read_tensor_matches_float_oracle(tmp_path_factory, dims, lines, newline
     got = read_tensor(path)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+HEADER_TEXTS = st.text() | st.lists(st.integers(-3, 4), max_size=4).map(
+    lambda dims: " ".join(map(str, dims)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(HEADER_TEXTS.filter(lambda h: len(h.splitlines()) <= 1 and not h.lstrip().startswith("#")),
+       st.text() | TENSOR_LINES.map("\n".join))
+@example("-1 -4", "1 2 3 4")
+@example("0 99999999999999999999", "")
+@example(" ".join(["1"] * 65), "7")
+def test_read_tensor_returns_a_finite_array_of_the_header_shape_or_parse_error(
+        tmp_path_factory, header, body):
+    path = tmp_path_factory.mktemp("tns") / "t.tns"
+    path.write_bytes(f"{header}\n{body}".encode("utf-8"))
+    try:
+        got = read_tensor(path)
+    except ParseError as exc:
+        assert str(exc).startswith(str(path))
+        return
+    assert got.dtype == np.float64 and np.isfinite(got).all()
+    assert got.shape == tuple(int(tok) for tok in header.split())
