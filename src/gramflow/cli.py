@@ -82,7 +82,7 @@ def cmd_space_build(args):
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise GramflowError("corpus is empty")
-    basis = build_basis(corpus, args.basis_size, stop=args.stop and set(args.stop.split(",")))
+    basis = build_basis(corpus, args.basis_size, stop=set(tokenize(args.stop or "")))
     basis = type(basis)(basis.words, window=args.window)
     model = build_model(corpus, basis)
     save_model(model, args.out)
@@ -176,7 +176,8 @@ def build_parser():
     p_build.add_argument("corpus", nargs="+", help="UTF-8 text files, blank-line separated documents")
     p_build.add_argument("-k", "--basis-size", type=int, required=True)
     p_build.add_argument("--window", type=int, default=2)
-    p_build.add_argument("--stop", help="comma-separated stop words excluded from the basis")
+    p_build.add_argument("--stop", help="stop words excluded from the basis, lowercased and split at "
+                         "non-alphanumeric characters like corpus text, e.g. 'the,a'")
     p_build.add_argument("--out", required=True, help="model file to write")
     add_json(p_build)
     p_build.set_defaults(func=cmd_space_build)

@@ -6,13 +6,17 @@ the word's total occurrence count.  Windows are symmetric, measured in
 token positions, and never cross document boundaries.  Everything is
 deterministic: document order never affects the output.
 
-:func:`build_model` counts every window in one numpy pass, and
+:func:`build_model` numbers the tokens with one ``dict.fromkeys`` over the
+chained documents and counts every window in one numpy pass, and
 :func:`load_model` parses a block of lines per ``np.loadtxt`` call; the
-vectors of a model either returns are rows of one shared matrix.  Model
-files round-trip bit-exactly: :func:`load_model` then :func:`save_model`
-writes the same bytes.  Errors: :class:`ArgumentError` (also a
-``ValueError``) for a basis size or window below 1, repeated basis words,
-or a model :func:`save_model` could not load back, :class:`CorpusError` for
+vectors of a model either returns are rows of one shared matrix.
+:func:`save_model` writes each run of zeros as one precomputed string and
+takes each distinct coordinate's ``repr`` once, from a memo.  Model files
+round-trip bit-exactly: :func:`load_model` then :func:`save_model` writes
+the same bytes.  Errors:
+:class:`ArgumentError` (also a ``ValueError``) for a basis size or window
+that is not an integer or is below 1, repeated basis words, or a model
+:func:`save_model` could not load back, :class:`CorpusError` for
 a corpus file that is not UTF-8 or too small for the basis, and
 :class:`ParseError`, with ``file:line``, for a malformed model file.
 """
@@ -25,6 +29,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -60,26 +65,39 @@ def documents_from_text(text: str) -> list[list[str]]:
 
     Equal tokens are one ``str`` object, which keeps a large corpus small.
     """
-    same = {}
-    docs = [[same.setdefault(tok, tok) for tok in tokenize(chunk)]
-            for chunk in re.split(r"\n\s*\n", text)]
+    return _documents(text, {})
+
+
+def _documents(text: str, same: dict) -> list[list[str]]:
+    """:func:`documents_from_text`, interning tokens through ``same``."""
+    docs = [list(map(same.setdefault, toks, toks))
+            for toks in map(tokenize, re.split(r"\n\s*\n", text))]
     return [doc for doc in docs if doc]
 
 
 def load_corpus(paths) -> list[list[str]]:
     """Read one or more UTF-8 files, each holding blank-line separated documents.
 
-    Raises :class:`CorpusError` for a file that is not UTF-8 text.
+    Equal tokens are one ``str`` object across all the files.  Raises
+    :class:`CorpusError` for a file that is not UTF-8 text.
     """
-    corpus = []
+    corpus, same = [], {}
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise CorpusError(f"{path}: not UTF-8 text at byte {exc.start}") from None
-        corpus.extend(documents_from_text(text))
+        corpus.extend(_documents(text, same))
     return corpus
+
+
+def _check_size(what: str, value) -> None:
+    """Raise :class:`ArgumentError` unless ``value`` is an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{what} is {value!r}, not an integer")
+    if value < 1:
+        raise ArgumentError(f"{what} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +112,8 @@ class BasisSpec:
         if len(set(self.words)) != len(self.words):
             word, _ = Counter(self.words).most_common(1)[0]
             raise ArgumentError(f"basis words must be distinct, {word!r} repeats")
-        if self.window < 1:
-            raise ArgumentError(f"window must be >= 1, got {self.window}")
+        _check_size("window", self.window)
+        object.__setattr__(self, "window", int(self.window))
 
 
 @dataclass
@@ -109,12 +127,10 @@ class VectorSpaceModel:
 
 def build_basis(corpus, k: int, stop=None) -> BasisSpec:
     """Choose the k most frequent tokens (ties lexicographic) as the basis."""
-    if k < 1:
-        raise ArgumentError(f"basis size must be >= 1, got {k}")
-    stop = set(stop or ())
-    freq = Counter()
-    for doc in corpus:
-        freq.update(tok for tok in doc if tok not in stop)
+    _check_size("basis size", k)
+    freq = Counter(chain.from_iterable(corpus))
+    for tok in stop or ():
+        freq.pop(tok, None)
     if len(freq) < k:
         raise CorpusError(f"need {k} distinct eligible tokens, corpus has {len(freq)}")
     ranked = sorted(freq.items(), key=lambda item: (-item[1], item[0]))
@@ -134,10 +150,10 @@ def _relative_counts(corpus, basis: BasisSpec):
     basis coordinate only counts distinct occurrences.  Pair counts are
     accumulated as floats, which is exact below 2**53.
     """
-    rows = {}
-    ids = np.fromiter((rows.setdefault(tok, len(rows)) for doc in corpus for tok in doc),
-                      dtype=np.int32)
+    rows = {tok: r for r, tok in enumerate(dict.fromkeys(chain.from_iterable(corpus)))}
     lengths = np.fromiter(map(len, corpus), dtype=np.int64)
+    ids = np.fromiter(map(rows.__getitem__, chain.from_iterable(corpus)), np.int32,
+                      count=int(lengths.sum()))
     doc_of = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
     occ = np.bincount(ids, minlength=len(rows))
 
@@ -199,7 +215,7 @@ _MEMO_SIZE = 1 << 16
 
 
 class _FloatReprs(dict):
-    """``repr`` of float64 values by bit pattern, filled on demand.
+    """``repr`` of float64 values, plus a space, by bit pattern, filled on demand.
 
     Keys are bit patterns so that ``-0.0`` stays apart from ``0.0``.  At
     most ``_MEMO_SIZE`` entries are kept, which bounds the memory spent on
@@ -207,7 +223,7 @@ class _FloatReprs(dict):
     """
 
     def __missing__(self, bits):
-        text = repr(struct.unpack("<d", struct.pack("<q", bits))[0])
+        text = repr(struct.unpack("<d", struct.pack("<q", bits))[0]) + " "
         if len(self) < _MEMO_SIZE:
             self[bits] = text
         return text
@@ -218,7 +234,10 @@ def save_model(model: VectorSpaceModel, path) -> None:
 
     Word lines are sorted by token and hold the token, its occurrence
     count, and the vector coordinates, each written as ``repr(float(x))``;
-    floats round-trip bit-exactly.
+    floats round-trip bit-exactly.  A row that is under half nonzero (by
+    bit pattern, so ``-0.0`` counts as nonzero) is written as precomputed
+    runs of ``0.0`` between its nonzero coordinates, whose text comes from
+    a memo kept for this call; other rows take ``repr`` per coordinate.
 
     Raises :class:`ArgumentError`, before the file is opened, for what
     :func:`load_model` would reject or it could not write: a token or basis
@@ -245,19 +264,27 @@ def save_model(model: VectorSpaceModel, path) -> None:
             # finite unless a coordinate is not, or it overflows; only then look at each
             if not math.isfinite(vec.dot(vec)) and not np.isfinite(vec).all():
                 raise ArgumentError(f"vector of {tok!r} has a non-finite coordinate")
-    # A vector built from a corpus is mostly zeros and repeats a few ratios,
-    # so its text comes from one memo per file; a dense vector would mostly
-    # miss the memo, which costs more than plain repr.
+    # A vector built from a corpus is mostly zeros and repeats a few ratios.
+    # runs[d] is the text of the d - 1 zeros before a nonzero coordinate d
+    # places after the previous one.  A dense vector would mostly miss the
+    # memo, which costs more than plain repr.
     memo = _FloatReprs().__getitem__
+    runs = ["0.0 " * (d - 1) for d in range(k + 2)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#basis " + " ".join(model.basis.words) + "\n")
         for tok in sorted(model.vectors):
-            vec = np.asarray(model.vectors[tok], dtype=np.float64)
-            if 2 * np.count_nonzero(vec) < vec.size:
-                coords = map(memo, vec.view(np.int64).tolist())
+            bits = np.asarray(model.vectors[tok], dtype=np.float64).view(np.int64)
+            nonzero = bits.nonzero()[0]  # -0.0 has a nonzero bit pattern
+            if 2 * len(nonzero) < k:
+                at = nonzero.tolist()
+                pieces = [None] * (2 * len(at))
+                pieces[0::2] = map(runs.__getitem__, map(int.__sub__, at, [-1, *at]))
+                pieces[1::2] = map(memo, bits[nonzero].tolist())
+                pieces.append(runs[k - at[-1] if at else k + 1])
+                row = "".join(pieces)[:-1]
             else:
-                coords = map(repr, vec.tolist())
-            fh.write(f"{tok} {model.counts[tok]} {' '.join(coords)}\n")
+                row = " ".join(map(repr, bits.view(np.float64).tolist()))
+            fh.write(f"{tok} {model.counts[tok]} {row}\n")
 
 
 def load_model(path) -> VectorSpaceModel:

@@ -169,6 +169,16 @@ def test_space_build_writes_model(tmp_path):
     assert all(len(v) == 4 for v in model.vectors.values())
 
 
+@pytest.mark.parametrize("stop", ["The,A", "the, a", " THE  a "])
+def test_space_build_stop_words_are_tokenized_like_the_corpus(tmp_path, stop):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("The cat saw the dog.\n\nA cat and a dog.\n")
+    out = run_cli("space", "build", str(corpus), "-k", "2", "--stop", stop,
+                  "--out", str(tmp_path / "m.txt"))
+    assert out.returncode == 0, out.stderr
+    assert load_model(tmp_path / "m.txt").basis.words == ("cat", "dog")
+
+
 def test_space_build_shortfall_and_missing_file(tmp_path):
     out = run_cli("space", "build", demo.corpus_path(), "-k", "40",
                   "--out", str(tmp_path / "m.txt"))

@@ -50,8 +50,11 @@ def test_documents_hold_one_string_per_distinct_token():
 def test_load_corpus_multiple_files(tmp_path):
     (tmp_path / "a.txt").write_text("one two\n\nthree")
     (tmp_path / "b.txt").write_text("four")
-    corpus = load_corpus([tmp_path / "a.txt", tmp_path / "b.txt"])
-    assert corpus == [["one", "two"], ["three"], ["four"]]
+    (tmp_path / "c.txt").write_text("Two THREE")
+    corpus = load_corpus([tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"])
+    assert corpus == [["one", "two"], ["three"], ["four"], ["two", "three"]]
+    # one string object per distinct token across all the files
+    assert corpus[3][0] is corpus[0][1] and corpus[3][1] is corpus[1][0]
 
 
 def test_load_corpus_rejects_non_utf8(tmp_path):
@@ -87,6 +90,20 @@ def test_basis_spec_validation():
     with pytest.raises(ArgumentError, match="basis size must be >= 1, got 0"):
         build_basis([["a"]], 0)
     assert issubclass(ArgumentError, GramflowError)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "2", None])
+def test_basis_size_and_window_must_be_integers(bad):
+    with pytest.raises(ArgumentError, match=f"window is {bad!r}, not an integer"):
+        BasisSpec(("a",), window=bad)
+    with pytest.raises(ArgumentError, match=f"basis size is {bad!r}, not an integer"):
+        build_basis([["a", "b"]], bad)
+
+
+def test_numpy_integer_basis_size_and_window():
+    basis = BasisSpec(build_basis([["a", "b", "a"]], np.int64(1)).words, window=np.int32(3))
+    assert basis == BasisSpec(("a",), window=3)
+    assert type(basis.window) is int
 
 
 def test_meaning_vector_examples():
@@ -471,6 +488,30 @@ def test_build_model_with_stop_word_basis_matches_loop_oracle(corpus, k, stop, w
     assert_matches_loops(build_model(corpus, basis), corpus)
 
 
+def basis_by_loops(corpus, k, stop):
+    """The k most frequent tokens not in ``stop``, ties in token order, by counting one at a time."""
+    freq = {}
+    for doc in corpus:
+        for tok in doc:
+            if tok not in stop:
+                freq[tok] = freq.get(tok, 0) + 1
+    ranked = sorted(freq, key=lambda tok: (-freq[tok], tok))
+    return tuple(ranked[:k]) if len(ranked) >= k else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "ab", "B", "é"]), max_size=9), max_size=8),
+       st.integers(1, 8), st.lists(st.sampled_from(["a", "c", "B", "x"]), max_size=3))
+@example([["b", "a", "b", "a", "c"]], 2, [])
+def test_build_basis_matches_counting_loop(corpus, k, stop):
+    want = basis_by_loops(corpus, k, set(stop))
+    if want is None:
+        with pytest.raises(CorpusError, match=f"need {k} distinct eligible tokens"):
+            build_basis(corpus, k, stop=stop)
+    else:
+        assert build_basis(corpus, k, stop=stop) == BasisSpec(want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(CORPORA, BASES, WINDOWS, WORDS)
 def test_meaning_vector_matches_loop_oracle(corpus, words, window, word):
@@ -522,6 +563,38 @@ COORDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allo
     st.just(k), st.lists(st.lists(COORDS, min_size=k, max_size=k), max_size=6))))
 def test_memo_formatter_writes_plain_repr(tmp_path_factory, k_rows):
     # signed zeros and subnormals included
+    tmp = tmp_path_factory.mktemp("model")
+    model = random_model(*k_rows)
+    save_model(model, tmp / "memo.txt")
+    write_by_repr(model, tmp / "repr.txt")
+    assert (tmp / "memo.txt").read_bytes() == (tmp / "repr.txt").read_bytes()
+
+
+# a mostly-zero row: the nonzero positions (under half of k, or exactly
+# half), each a value from a small pool as a corpus row repeats its ratios
+SPARSE_VALUES = st.sampled_from([0.5, 1.0, 1 / 3, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, 2.5])
+
+
+@st.composite
+def sparse_rows(draw, k):
+    nonzero = draw(st.one_of(
+        st.sets(st.integers(0, k - 1), max_size=(k - 1) // 2),
+        st.sets(st.integers(0, k - 1), min_size=k // 2, max_size=k // 2),
+        st.sampled_from([set(), {0}, {k - 1}, {0, k - 1}])))
+    row = [0.0] * k
+    for m in nonzero:
+        row[m] = draw(st.one_of(SPARSE_VALUES, COORDS))
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(sparse_rows(k), min_size=1, max_size=6))))
+@example((1, [[0.0], [-0.0], [5e-324]]))
+@example((64, [[0.0] * 64, [1.0] + [0.0] * 63, [0.0] * 63 + [1.0], [0.0, 2.5] * 32, [2.5, 0.0] * 32]))
+def test_memo_formatter_writes_zero_runs_as_plain_repr(tmp_path_factory, k_rows):
+    # zero runs of every length, first and last coordinates nonzero or not,
+    # all-zero rows, signed zeros, subnormals and rows at exactly half density
     tmp = tmp_path_factory.mktemp("model")
     model = random_model(*k_rows)
     save_model(model, tmp / "memo.txt")
