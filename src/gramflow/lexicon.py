@@ -4,7 +4,8 @@ A lexicon file lists one entry per line: word, type notation, and a source
 for the tensor — a model vector, a tensor file, a matrix file embedded as a
 bipartite verb state, or a "logical" word made of pure wire routing.
 Entries are resolved and shape-checked eagerly at load time, each distinct
-type text parsed once per file, into one :class:`WordMeaning` per word.
+type text parsed once per file; a word's :class:`WordMeaning` is built on
+its first ``bind``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, UnknownWordError
+from .errors import ParseError, ShapeError, SizeCapError, UnknownWordError
 from .pregroup import parse_type
 from .semantics import WordMeaning, choi_embed
 from .tensors import SpaceAssignment, read_tensor, shape_of
@@ -32,20 +33,33 @@ LOGICAL_TYPE = "n^r s s^l n"
 
 
 class Lexicon:
-    """Immutable word-to-meaning table over a fixed space assignment."""
+    """Immutable word-to-meaning table over a fixed space assignment.
 
-    def __init__(self, meanings, space: SpaceAssignment):
-        self.meanings = dict(meanings)
+    ``entries`` maps each word to its checked ``(type, tensor)`` pair.
+    """
+
+    def __init__(self, entries, space: SpaceAssignment):
+        self.entries = dict(entries)
         self.space = space
+        # a call binds a few words of thousands: each WordMeaning is built once, on demand
+        self._bound = {}
 
     def words(self):
-        return sorted(self.meanings)
+        return sorted(self.entries)
 
     def bind(self, word: str) -> WordMeaning:
         """Resolve a word to its meaning; repeated calls return the same value."""
-        if word not in self.meanings:
-            raise UnknownWordError(f"word {word!r} is not in the lexicon")
-        return self.meanings[word]
+        bound = self._bound.get(word)
+        if bound is None:
+            if word not in self.entries:
+                raise UnknownWordError(f"word {word!r} is not in the lexicon")
+            bound = self._bound[word] = WordMeaning(word, *self.entries[word])
+        return bound
+
+
+def _too_big(source, dn, ds):
+    return SizeCapError(f"{source} needs d_n^2*d_s^2 = {dn * dn * ds * ds} entries "
+                        f"(d_n={dn}, d_s={ds}), more than numpy can allocate")
 
 
 def make_logical_does(space: SpaceAssignment) -> WordMeaning:
@@ -57,7 +71,10 @@ def make_logical_does(space: SpaceAssignment) -> WordMeaning:
     leaves the sentence meaning unchanged.
     """
     dn, ds = space.dim("n"), space.dim("s")
-    tensor = np.einsum("ij,ab->iabj", np.eye(dn), np.eye(ds))
+    try:
+        tensor = np.einsum("ij,ab->iabj", np.eye(dn), np.eye(ds))
+    except (ValueError, MemoryError):  # numpy refused the shape or the allocation
+        raise _too_big("logical:does", dn, ds) from None
     return WordMeaning("does", parse_type(LOGICAL_TYPE), tensor)
 
 
@@ -77,31 +94,33 @@ def make_logical_not(space: SpaceAssignment, negation) -> WordMeaning:
             f"negation matrix must be {ds}x{ds} on the sentence space, "
             f"got shape {list(mat.shape)}"
         )
-    tensor = np.einsum("ij,ab->iabj", np.eye(dn), mat)
+    try:
+        tensor = np.einsum("ij,ab->iabj", np.eye(dn), mat)
+    except (ValueError, MemoryError):  # numpy refused the shape or the allocation
+        raise _too_big("logical:not", dn, ds) from None
     return WordMeaning("not", parse_type(LOGICAL_TYPE), tensor)
 
 
-def _resolve(word, src, space, model, base_dir):
+def _resolve(word, src, space, base_dir):
+    """The tensor of an entry whose source is not ``vector``."""
     def resolve_path(rel):
         path = os.path.join(base_dir, rel) if base_dir else rel
         if not os.path.exists(path):
             raise ParseError(f"entry {word!r}: referenced file {path!r} does not exist")
         return path
 
-    if src == "vector":
-        if model is None:
-            raise ParseError(f"entry {word!r} needs a vector model, none was given")
-        if word not in model.vectors:
-            raise UnknownWordError(f"entry {word!r} is not in the vector model")
-        return np.asarray(model.vectors[word], dtype=float)
     if src.startswith("tensor:"):
         return read_tensor(resolve_path(src[len("tensor:"):]))
     if src.startswith("choi:"):
         return choi_embed(read_tensor(resolve_path(src[len("choi:"):])))
-    if src == "logical:does":
-        return make_logical_does(space).tensor
-    if src.startswith("logical:not:"):
-        return make_logical_not(space, read_tensor(resolve_path(src[len("logical:not:"):]))).tensor
+    try:
+        if src == "logical:does":
+            return make_logical_does(space).tensor
+        if src.startswith("logical:not:"):
+            negation = read_tensor(resolve_path(src[len("logical:not:"):]))
+            return make_logical_not(space, negation).tensor
+    except SizeCapError as exc:
+        raise SizeCapError(f"entry {word!r}: {exc}") from None
     raise ParseError(f"entry {word!r}: unknown source spec {src!r}")
 
 
@@ -119,18 +138,22 @@ def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     base_dir = os.path.dirname(os.path.abspath(path))
+    vectors = None if model is None else model.vectors
     # (type, shape) by type text: a file repeats a few type texts over many lines
-    meanings, types = {}, {}
+    entries, types = {}, {}
     # text mode already turned every line ending into "\n"
     for ln, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] == "#":
-            continue
         fields = line.split("\t")
+        word = fields[0].strip()
+        # a "#" first field starts a comment; a blank one leaves the whole line to decide
+        if not word or word[0] == "#":
+            stripped = line.strip()
+            if not stripped or stripped[0] == "#":
+                continue
         if len(fields) != 3:
             raise ParseError(f"{path}:{ln}: expected 3 tab-separated fields, got {len(fields)}")
-        word, type_text, source = fields[0].strip(), fields[1].strip(), fields[2].strip()
-        if word in meanings:
+        type_text, source = fields[1].strip(), fields[2].strip()
+        if word in entries:
             raise ParseError(f"{path}:{ln}: duplicate entry for {word!r}")
         known = types.get(type_text)
         if known is None:
@@ -138,7 +161,14 @@ def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
                 ptype = parse_type(type_text)
             except ParseError as exc:
                 raise ParseError(f"{path}:{ln}: {exc}") from None
-        tensor = _resolve(word, source, space, model, base_dir)
+        if source == "vector":
+            if vectors is None:
+                raise ParseError(f"entry {word!r} needs a vector model, none was given")
+            if word not in vectors:
+                raise UnknownWordError(f"entry {word!r} is not in the vector model")
+            tensor = np.asarray(vectors[word], dtype=float)
+        else:
+            tensor = _resolve(word, source, space, base_dir)
         # shaped only after resolving, so a source error wins over a base with no dimension
         ptype, expected = known or types.setdefault(type_text, (ptype, shape_of(ptype, space)))
         if tensor.shape != expected:
@@ -146,5 +176,5 @@ def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
                 f"{path}:{ln}: word {word!r} has tensor shape "
                 f"{list(tensor.shape)} but type {type_text!r} requires {list(expected)}"
             )
-        meanings[word] = WordMeaning(word, ptype, tensor)
-    return Lexicon(meanings, space)
+        entries[word] = (ptype, tensor)
+    return Lexicon(entries, space)

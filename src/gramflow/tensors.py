@@ -96,6 +96,12 @@ def cup(d: int) -> np.ndarray:
     return np.eye(d)
 
 
+def _uncommented(text):
+    """``(line number, line)`` for each line of ``text`` that is not a ``#`` comment."""
+    return [(ln, line) for ln, line in enumerate(text.splitlines(), start=1)
+            if not line.lstrip().startswith("#")]
+
+
 def read_tensor(path) -> np.ndarray:
     """Read the whitespace tensor format.
 
@@ -105,22 +111,24 @@ def read_tensor(path) -> np.ndarray:
     ``nan`` or infinite values raise ``ParseError``.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        # bytes decoded in one step: splitlines() below takes "\r\n" and "\r" as
+        # line ends, as text mode would, without an io.TextIOWrapper per file
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1)
-             if not line.lstrip().startswith("#")]
+    # a file without "#" has no comment line to drop
+    lines = [line for _, line in _uncommented(text)] if "#" in text else text.splitlines()
     if not lines:
         raise ParseError(f"{path}: empty tensor file")
-    header = lines[0][1].split()
+    header = lines[0].split()
     try:
         shape = tuple(int(tok) for tok in header)
     except ValueError:
-        raise ParseError(f"{path}: bad dimension line {lines[0][1]!r}") from None
+        raise ParseError(f"{path}: bad dimension line {lines[0]!r}") from None
     if min(shape, default=0) < 0:
-        raise ParseError(f"{path}: negative dimension in {lines[0][1]!r}")
-    tokens = " ".join(line for _, line in lines[1:]).split()
+        raise ParseError(f"{path}: negative dimension in {lines[0]!r}")
+    tokens = " ".join(lines[1:]).split()
     try:
         # parses each text exactly as float() does, in one call
         values = np.array(tokens, dtype=float)
@@ -132,7 +140,7 @@ def read_tensor(path) -> np.ndarray:
     finite = np.isfinite(values)
     if not finite.all():
         first = rest = int(np.argmin(finite))
-        for ln, line in lines[1:]:
+        for ln, line in _uncommented(text)[1:]:
             rest -= len(line.split())
             if rest < 0:
                 raise ParseError(f"{path}:{ln}: non-finite tensor value {tokens[first]!r}")

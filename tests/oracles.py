@@ -19,6 +19,7 @@ from gramflow import (
     ParseError,
     PregroupType,
     ShapeError,
+    SizeCapError,
     UnknownWordError,
     choi_embed,
     make_logical_does,
@@ -429,9 +430,12 @@ def _entry_tensor(entry, space, model, base_dir):
         return tensor_by_floats(file_at(src[len("tensor:"):]))
     if src.startswith("choi:"):
         return choi_embed(tensor_by_floats(file_at(src[len("choi:"):])))
-    if src == "logical:does":
-        return make_logical_does(space).tensor
-    if src.startswith("logical:not:"):
-        negation = tensor_by_floats(file_at(src[len("logical:not:"):]))
-        return make_logical_not(space, negation).tensor
+    try:
+        if src == "logical:does":
+            return make_logical_does(space).tensor
+        if src.startswith("logical:not:"):
+            negation = tensor_by_floats(file_at(src[len("logical:not:"):]))
+            return make_logical_not(space, negation).tensor
+    except SizeCapError as exc:
+        raise SizeCapError(f"entry {entry.word!r}: {exc}") from None
     raise ParseError(f"entry {entry.word!r}: unknown source spec {src!r}")

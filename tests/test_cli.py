@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import gramflow.cli as cli
 import gramflow.demo as demo
 from gramflow import SpaceAssignment, load_lexicon, load_model, meaning, parse_type, reduce
 
@@ -237,6 +238,19 @@ def test_space_build_non_utf8_corpus_is_a_data_error(tmp_path):
     assert "latin1.txt: not UTF-8 text at byte 20" in assert_one_line_error(out)
 
 
+@pytest.mark.parametrize("entry", ["does\tn^r s s^l n\tlogical:does",
+                                   "not\tn^r s s^l n\tlogical:not:neg.tns"])
+def test_logical_word_too_large_for_numpy_is_a_data_error(tmp_path, entry):
+    # n = 10**10 gives 4e20 entries: numpy refuses the shape, nothing is allocated
+    (tmp_path / "neg.tns").write_text("2 2\n0.0 1.0\n1.0 0.0\n")
+    (tmp_path / "lex.tsv").write_text(entry + "\n")
+    word = entry.split("\t")[0]
+    out = run_cli("parse", word, "--lexicon", str(tmp_path / "lex.tsv"),
+                  "--dims", "n:10000000000,s:2")
+    line = assert_one_line_error(out)
+    assert f"entry {word!r}:" in line and "400000000000000000000 entries" in line
+
+
 @pytest.mark.parametrize("model, message", [
     ("#basis a\nalice 1 nan\nbob 1 0.5\n", "model.txt:2: bad number: non-finite coordinate 'nan'"),
     ("#basis a\nalice 1 0.5\nbob 1 0.5\nalice 2 0.5\n", "model.txt:4: duplicate token 'alice'"),
@@ -305,6 +319,18 @@ def test_demo_snake_dimension_bounds():
 
 
 # ------------------------------------------------------------- determinism
+
+def test_each_call_reads_its_files_again(tmp_path, capsys):
+    # two calls in one process: nothing parsed by the first may serve the second
+    (tmp_path / "it.tns").write_text("2\n1.0 0.0\n")
+    (tmp_path / "lex.tsv").write_text("it\ts\ttensor:it.tns\n")
+    argv = ["--json", "meaning", "it", "--lexicon", str(tmp_path / "lex.tsv"), "--dims", "s:2"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["vector"] == [1.0, 0.0]
+    (tmp_path / "it.tns").write_text("2\n0.25 -3.0\n")
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["vector"] == [0.25, -3.0]
+
 
 def test_repeated_runs_are_identical():
     first = run_cli("--json", "meaning", "Alice does not like Bob", *DEMO_ARGS)

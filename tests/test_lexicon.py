@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +11,7 @@ from gramflow import (
     GramflowError,
     ParseError,
     ShapeError,
+    SizeCapError,
     SpaceAssignment,
     UnknownWordError,
     VectorSpaceModel,
@@ -21,6 +24,7 @@ from gramflow import (
     meaning,
     meaning_naive,
     parse_type,
+    read_tensor,
     reduce,
 )
 from gramflow.lexicon import LOGICAL_TYPE
@@ -119,6 +123,16 @@ def test_load_errors_name_the_line(tmp_path):
         load_lexicon(path, SA22)
 
 
+@pytest.mark.parametrize("source", ["logical:does", "logical:not:neg.tns"])
+def test_logical_word_too_large_for_numpy_is_a_size_cap_error(tmp_path, source):
+    # d_n = 10**10 gives 4e20 entries: numpy refuses the shape before allocating anything
+    write_matrix(tmp_path / "neg.tns", [[0.0, 1.0], [1.0, 0.0]])
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"aux\t{LOGICAL_TYPE}\t{source}\n")
+    with pytest.raises(SizeCapError, match="entry 'aux': .* 400000000000000000000 entries"):
+        load_lexicon(path, SpaceAssignment({"n": 10**10, "s": 2}))
+
+
 def test_non_utf8_lexicon_is_a_parse_error(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_bytes("alice\tn\tvector\ncaf\u00e9\tn\tvector\n".encode("latin-1"))
@@ -134,15 +148,22 @@ def test_each_type_text_is_parsed_once(tmp_path, monkeypatch):
     path.write_text("a\tn\ttensor:v.tns\nb\tn\ttensor:v.tns\nc\tn n^l\ttensor:m.tns\n"
                     "# n^r s\n\nd\tn  n^l\ttensor:m.tns\ne\tn^r s\tchoi:m.tns\n"
                     "f\tn n^l\ttensor:m.tns\ng\tn^r s\ttensor:m.tns\n")
-    calls = []
+    calls, reads = [], []
 
     def counting(text):
         calls.append(text)
         return parse_type(text)
 
+    def counting_reads(file):
+        reads.append(os.path.basename(file))
+        return read_tensor(file)
+
     monkeypatch.setattr(lexicon_module, "parse_type", counting)
+    monkeypatch.setattr(lexicon_module, "read_tensor", counting_reads)
     lex = load_lexicon(path, SA22)
     assert sorted(calls) == ["n", "n  n^l", "n n^l", "n^r s"]
+    # one read per file-sourced entry, however often a file is named
+    assert sorted(reads) == ["m.tns"] * 5 + ["v.tns"] * 2
     assert lex.bind("c").type == lex.bind("d").type == lex.bind("f").type
     assert lex.bind("c").type is lex.bind("f").type
 
@@ -155,17 +176,23 @@ LEX_MODEL = VectorSpaceModel(
     {w: np.array([0.25 * i, 2.0 - i]) for i, w in enumerate(LEX_POOL[:-2])},
     {w: 1 + i for i, w in enumerate(LEX_POOL[:-2])},
 )
+# the same words with vectors that are lists or integer arrays, which need converting
+LEX_MODEL_PLAIN = VectorSpaceModel(
+    LEX_MODEL.basis,
+    {w: [0.25 * i, 2.0 - i] if i % 2 else np.array([i, 2 - i]) for i, w in enumerate(LEX_POOL[:-2])},
+    LEX_MODEL.counts,
+)
 
 # every good (type, source) pair; "p" has no dimension in SA22
 GOOD_PAIRS = [
     ("n", "tensor:n.tns"), ("n", "vector"), ("n n^l", "tensor:nn.tns"),
     ("n  n^l", "tensor:nn.tns"), ("n.n^l", "tensor:nn.tns"), ("n^r s", "choi:nn.tns"),
     ("n^r s n^l", "tensor:tv.tns"), (LOGICAL_TYPE, "logical:does"),
-    (LOGICAL_TYPE, "logical:not:nn.tns"), ("", "tensor:scalar.tns"),
+    (LOGICAL_TYPE, "logical:not:nn.tns"), ("", "tensor:scalar.tns"), ("n n^l", "tensor:cr.tns"),
 ]
 TYPE_TEXTS = sorted({t for t, _ in GOOD_PAIRS}) + ["p", "n p", "n?", "s^x"]
 SOURCES = sorted({s for _, s in GOOD_PAIRS}) + [
-    "tensor:nan.tns", "tensor:latin1.tns", "tensor:count.tns", "tensor:missing.tns",
+    "tensor:nan.tns", "tensor:crnan.tns", "tensor:latin1.tns", "tensor:count.tns", "tensor:missing.tns",
     "logical:not:tv.tns", "mystery:x",
 ]
 FAULTS = st.tuples(st.sampled_from(LEX_POOL), st.sampled_from(TYPE_TEXTS),
@@ -182,7 +209,9 @@ def lexicon_lines(draw):
                                       st.sampled_from(["", " ", "  ", "\x0c", "\u2028"])),
                             max_size=16, unique_by=lambda e: e[0]))
     lines = [f"{word}\t{pad}{type_text}\t{source}{pad}" for word, (type_text, source), pad in entries]
-    extras = draw(st.lists(st.sampled_from(["", "   ", "# comment", "  # indented\tcomment"]),
+    extras = draw(st.lists(st.sampled_from(["", "   ", "# comment", "  # indented\tcomment",
+                                            "#c\tn\tvector", "\t#c\tn", "\t\t", " \t \t ",
+                                            " \tn\ttensor:n.tns"]),
                            max_size=3))
     if draw(st.booleans()):
         extras.append(draw(FAULTS))
@@ -200,6 +229,9 @@ def lexicon_dir(tmp_path_factory):
         repr(float(x)) for x in np.random.default_rng(5).normal(size=8)) + "\n")
     (tmp / "scalar.tns").write_text("\n2.5\n")
     (tmp / "nan.tns").write_text("2\n1.0\n# c\nnan\n")
+    # "\r" and "\r\n" line ends, which text mode would have turned into "\n"
+    (tmp / "cr.tns").write_bytes(b"2 2\r1.0 2.0\r\n# c\r3.0 4.0\r")
+    (tmp / "crnan.tns").write_bytes(b"2\r\n1.0\r# c\r\nnan\r")
     (tmp / "latin1.tns").write_bytes("2\n1.0 caf\u00e9\n".encode("latin-1"))
     (tmp / "count.tns").write_text("2 2\n1 2 3\n")
     return tmp
@@ -213,20 +245,23 @@ def outcome(load):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lexicon_lines(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+@given(lexicon_lines(), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.sampled_from([None, LEX_MODEL, LEX_MODEL_PLAIN]))
 @example(["alice\tn\tvector", "# c", "", "c\tn n^l\ttensor:nn.tns", "d\tn  n^l\ttensor:nn.tns",
           "e\tn.n^l\ttensor:nn.tns", "bob\tn\ttensor:n.tns", f"does\t{LOGICAL_TYPE}\tlogical:does"],
-         "\n", True)
-@example(["alice\tn\tvector", "bob\tn\tvector", "alice\tn\ttensor:n.tns"], "\n", True)
-@example(["a\tn\ttensor:n.tns", "b\tn?\ttensor:n.tns", "c\tn?\ttensor:n.tns"], "\n", False)
-@example(["a\tn p\ttensor:nn.tns", "b\tn p\ttensor:missing.tns"], "\n", False)
-@example(["a\tn p\ttensor:missing.tns"], "\n", False)
-@example(["a\tn n^l\ttensor:nn.tns", "b\tn n^l\ttensor:tv.tns"], "\r\n", False)
-@example(["a\tn\ttensor:nan.tns"], "\n", False)
-def test_load_lexicon_matches_line_oracle(lexicon_dir, lines, newline, with_model):
+         "\n", LEX_MODEL)
+@example(["alice\tn\tvector", "bob\tn\tvector", "alice\tn\ttensor:n.tns"], "\n", LEX_MODEL)
+@example(["a\tn\ttensor:n.tns", "b\tn?\ttensor:n.tns", "c\tn?\ttensor:n.tns"], "\n", None)
+@example(["a\tn p\ttensor:nn.tns", "b\tn p\ttensor:missing.tns"], "\n", None)
+@example(["a\tn p\ttensor:missing.tns"], "\n", None)
+@example(["a\tn n^l\ttensor:nn.tns", "b\tn n^l\ttensor:tv.tns"], "\r\n", None)
+@example(["a\tn\ttensor:nan.tns"], "\n", None)
+@example(["a\tn n^l\ttensor:cr.tns", "b\tn\ttensor:crnan.tns"], "\r", None)
+@example(["#c\tn\tvector", "w0\tn\tvector", "\t\t", " \t \t ", "\t#c\tn", "w1\tn\tvector",
+          " \tn\ttensor:n.tns"], "\n", LEX_MODEL_PLAIN)
+def test_load_lexicon_matches_line_oracle(lexicon_dir, lines, newline, model):
     path = lexicon_dir / "lex.tsv"
     path.write_bytes(newline.join(lines).encode("utf-8"))
-    model = LEX_MODEL if with_model else None
     want = outcome(lambda: lexicon_by_lines(path, SA22, model))
     got = outcome(lambda: load_lexicon(path, SA22, model))
     if isinstance(want, tuple):
