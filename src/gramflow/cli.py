@@ -44,26 +44,25 @@ def _parse_dims(text):
     return dims
 
 
-def _load_environment(args):
-    """Resolve --model and --dims into a model and a space assignment."""
+def _load(args):
+    """Resolve --model and --dims into a space and load the lexicon over it."""
     model = load_model(args.model) if args.model else None
-    dims = {}
-    if model is not None:
-        dims["n"] = len(model.basis.words)
+    dims = {} if model is None else {"n": len(model.basis.words)}
     if args.dims:
         dims.update(_parse_dims(args.dims))
     if not dims:
         raise GramflowError("no space dimensions: pass --dims (and/or --model)")
-    return model, SpaceAssignment(dims)
+    return load_lexicon(args.lexicon, SpaceAssignment(dims), model)
 
 
-def _bind_sentence(sentence, lex):
+def _reduce(sentence, lex):
+    """Tokenize, bind and reduce one sentence: words, bound words, types and diagram."""
     words = tokenize(sentence)
     if not words:
         raise GramflowError("empty sentence")
     bound = [lex.bind(w) for w in words]
     seq = PregroupType(tuple(t for w in bound for t in w.type))
-    return words, bound, seq
+    return words, bound, seq, reduce_type(seq, SENTENCE)
 
 
 def _emit(args, payload, text_lines):
@@ -103,10 +102,7 @@ def _diagram_payload(words, bound, diagram):
 
 
 def cmd_parse(args):
-    model, space = _load_environment(args)
-    lex = load_lexicon(args.lexicon, space, model)
-    words, bound, seq = _bind_sentence(args.sentence, lex)
-    diagram = reduce_type(seq, SENTENCE)
+    words, bound, seq, diagram = _reduce(args.sentence, _load(args))
     if diagram is None:
         _emit(args, {"words": words, "types": [str(w.type) for w in bound], "grammatical": False},
               [" ".join(words), str(seq), "no reduction to s"])
@@ -117,14 +113,12 @@ def cmd_parse(args):
 
 
 def cmd_meaning(args):
-    model, space = _load_environment(args)
-    lex = load_lexicon(args.lexicon, space, model)
-    words, bound, seq = _bind_sentence(args.sentence, lex)
-    diagram = reduce_type(seq, SENTENCE)
+    lex = _load(args)
+    words, bound, _, diagram = _reduce(args.sentence, lex)
     if diagram is None:
         _emit(args, {"words": words, "grammatical": False}, ["no reduction to s"])
         return EXIT_REJECTED
-    vec = meaning(bound, diagram, space)
+    vec = meaning(bound, diagram, lex.space)
     if not np.isfinite(vec).all():
         raise GramflowError("meaning vector overflowed: a coordinate is not finite")
     payload = _diagram_payload(words, bound, diagram) | {"vector": [float(x) for x in vec.ravel()]}
@@ -133,17 +127,15 @@ def cmd_meaning(args):
 
 
 def cmd_compare(args):
-    model, space = _load_environment(args)
-    lex = load_lexicon(args.lexicon, space, model)
+    lex = _load(args)
     vectors = []
     for sentence in (args.sentence1, args.sentence2):
-        _, bound, seq = _bind_sentence(sentence, lex)
-        diagram = reduce_type(seq, SENTENCE)
+        _, bound, _, diagram = _reduce(sentence, lex)
         if diagram is None:
             _emit(args, {"sentence": sentence, "grammatical": False},
                   [f"no reduction to s: {sentence!r}"])
             return EXIT_REJECTED
-        vectors.append(meaning(bound, diagram, space))
+        vectors.append(meaning(bound, diagram, lex.space))
     value = cosine(vectors[0], vectors[1])
     _emit(args, {"cosine": value}, [f"cosine: {value:.6g}"])
     return EXIT_OK
@@ -222,10 +214,7 @@ def main(argv=None) -> int:
         # warnings would only repeat the error line
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except GramflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (GramflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -57,9 +57,14 @@ class Lexicon:
         return bound
 
 
-def _too_big(source, dn, ds):
-    return SizeCapError(f"{source} needs d_n^2*d_s^2 = {dn * dn * ds * ds} entries "
-                        f"(d_n={dn}, d_s={ds}), more than numpy can allocate")
+def _routing(word, dn, ds, mat=None):
+    """R[i, a, b, j] = delta_ij * mat[a, b] (the identity by default) as a logical word."""
+    try:
+        tensor = np.einsum("ij,ab->iabj", np.eye(dn), np.eye(ds) if mat is None else mat)
+    except (ValueError, MemoryError):  # numpy refused the shape or the allocation
+        raise SizeCapError(f"logical:{word} needs d_n^2*d_s^2 = {dn * dn * ds * ds} entries "
+                           f"(d_n={dn}, d_s={ds}), more than numpy can allocate") from None
+    return WordMeaning(word, parse_type(LOGICAL_TYPE), tensor)
 
 
 def make_logical_does(space: SpaceAssignment) -> WordMeaning:
@@ -70,12 +75,7 @@ def make_logical_does(space: SpaceAssignment) -> WordMeaning:
     D[i, a, b, j] = delta_ij * delta_ab.  Composed with any verb phrase it
     leaves the sentence meaning unchanged.
     """
-    dn, ds = space.dim("n"), space.dim("s")
-    try:
-        tensor = np.einsum("ij,ab->iabj", np.eye(dn), np.eye(ds))
-    except (ValueError, MemoryError):  # numpy refused the shape or the allocation
-        raise _too_big("logical:does", dn, ds) from None
-    return WordMeaning("does", parse_type(LOGICAL_TYPE), tensor)
+    return _routing("does", space.dim("n"), space.dim("s"))
 
 
 def make_logical_not(space: SpaceAssignment, negation) -> WordMeaning:
@@ -94,11 +94,7 @@ def make_logical_not(space: SpaceAssignment, negation) -> WordMeaning:
             f"negation matrix must be {ds}x{ds} on the sentence space, "
             f"got shape {list(mat.shape)}"
         )
-    try:
-        tensor = np.einsum("ij,ab->iabj", np.eye(dn), mat)
-    except (ValueError, MemoryError):  # numpy refused the shape or the allocation
-        raise _too_big("logical:not", dn, ds) from None
-    return WordMeaning("not", parse_type(LOGICAL_TYPE), tensor)
+    return _routing("not", dn, ds, mat)
 
 
 def _resolve(word, src, space, base_dir):

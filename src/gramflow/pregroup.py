@@ -248,21 +248,25 @@ def _witness_links(seq, target) -> Iterator[tuple[tuple[int, int], ...]]:
             )
     if not canc[0][size]:
         return
-
-    def full(i, j):
-        # all cup sets cancelling [i, j) completely, through-wire cups dropped
-        if i == j:
-            yield ()
+    # depth first over one stack of cups (i, k, j), j ending i's interval
+    path, after, i, j, k = [], {}, 0, size, -1
+    while True:
+        if i == size:
+            yield tuple((a, b) for a, b, _ in path if b < n)
+        else:  # the next partner of i after k; canc makes every one complete
+            k = next((m for m in range(k + 2, j, 2) if contracts(ext[i], ext[m])
+                      and canc[i + 1][m] and canc[m + 1][j]), 0)
+            if k:
+                path.append((i, k, j))
+                after[k] = j  # the interval that resumes past closer k ends at j
+                i, j = i + 1, k
+                while i == j < size:  # [i, j) has cancelled: go on past closer j
+                    i, j = i + 1, after[j]
+                k = i - 1
+                continue
+        if not path:
             return
-        ti = ext[i]
-        for k in range(i + 1, j, 2):
-            if contracts(ti, ext[k]) and canc[i + 1][k] and canc[k + 1][j]:
-                link = ((i, k),) if k < n else ()
-                for inner in full(i + 1, k):
-                    for rest in full(k + 1, j):
-                        yield link + inner + rest
-
-    yield from full(0, size)
+        i, k, j = path.pop()
 
 
 def reduce(seq: PregroupType, target: PregroupType) -> Optional[ReductionDiagram]:

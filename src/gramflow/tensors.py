@@ -12,7 +12,7 @@ basis-meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce as _fold
 from types import MappingProxyType
 from typing import Mapping
@@ -25,7 +25,7 @@ from .pregroup import PregroupType
 __all__ = ["SpaceAssignment", "shape_of", "kron", "cup", "read_tensor", "write_tensor"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpaceAssignment:
     """Dimension of the vector space attached to each basic type, by name.
 
@@ -33,7 +33,8 @@ class SpaceAssignment:
     same dimensions compare and hash equal, so a space can key a cache.
     """
 
-    dims: Mapping[str, int]
+    dims: Mapping[str, int] = field(compare=False)
+    _items: tuple[tuple[str, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         clean = {}
@@ -46,14 +47,6 @@ class SpaceAssignment:
             clean[name] = int(d)
         object.__setattr__(self, "dims", MappingProxyType(clean))
         object.__setattr__(self, "_items", tuple(sorted(clean.items())))
-
-    def __eq__(self, other):
-        if not isinstance(other, SpaceAssignment):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self):
-        return hash(self._items)
 
     def dim(self, base: str) -> int:
         try:

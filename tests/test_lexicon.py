@@ -251,6 +251,7 @@ def outcome(load):
           "e\tn.n^l\ttensor:nn.tns", "bob\tn\ttensor:n.tns", f"does\t{LOGICAL_TYPE}\tlogical:does"],
          "\n", LEX_MODEL)
 @example(["alice\tn\tvector", "bob\tn\tvector", "alice\tn\ttensor:n.tns"], "\n", LEX_MODEL)
+@example(["alice\tn\tvector", f"{LEX_POOL[-1]}\tn\tvector"], "\n", LEX_MODEL)
 @example(["a\tn\ttensor:n.tns", "b\tn?\ttensor:n.tns", "c\tn?\ttensor:n.tns"], "\n", None)
 @example(["a\tn p\ttensor:nn.tns", "b\tn p\ttensor:missing.tns"], "\n", None)
 @example(["a\tn p\ttensor:missing.tns"], "\n", None)

@@ -1,4 +1,7 @@
+import gc
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -198,6 +201,50 @@ def test_enumerate_respects_limit_and_reduce_is_first():
     assert [d.links for d in all_of_them] == [((0, 1),), ((2, 3),)]
     assert enumerate_reductions(seq, target, 1) == all_of_them[:1]
     assert reduce(seq, target) == all_of_them[0]
+
+
+# 250 nested and 250 sibling cups under a recursion limit of 200: the witness
+# search must not recurse once per cup
+DEEP_CUPS = """
+import sys
+from gramflow import enumerate_reductions, parse_type, reduce
+sys.setrecursionlimit(200)
+cups, sent = 250, parse_type("s")
+for text, links in [
+    ("n " * cups + "n^r " * cups + "s", tuple((i, 2 * cups - 1 - i) for i in range(cups))),
+    ("n n^r " * cups + "s", tuple((2 * i, 2 * i + 1) for i in range(cups))),
+]:
+    seq = parse_type(text)
+    diagram = reduce(seq, sent)
+    assert diagram.links == links and diagram.through == (2 * cups,), text[:12]
+    assert enumerate_reductions(seq, sent, 2) == [diagram], text[:12]
+print("ok")
+"""
+
+
+def test_many_nested_or_sibling_cups_need_no_recursion():
+    # a child interpreter, so the lowered limit cannot reach other tests
+    out = subprocess.run([sys.executable, "-c", DEEP_CUPS], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr[-2000:]
+
+
+def test_reduce_leaves_no_cyclic_garbage():
+    # every table a search builds is freed on return, without a collector pass
+    cases = [
+        (parse_type("n n^r s n^l n"), SENT),
+        (parse_type("n n^r n n^r"), parse_type("n n^r")),  # two witnesses
+        (parse_type("n " * 60 + "n^r " * 60 + "s"), SENT),
+        (PregroupType(()), PregroupType(())),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for seq, target in cases:
+            reduce(seq, target)
+            enumerate_reductions(seq, target, limit=16)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_is_sentence_examples():

@@ -303,6 +303,8 @@ TRACE_LATE = (
 @settings(max_examples=400, deadline=None)
 @given(sentence_cases())
 @example(TRACE_LATE)
+# no words and no wires: the empty contraction, the scalar 1.0
+@example(([], reduce(PregroupType(()), PregroupType(())), SpaceAssignment({"n": 2})))
 def test_meaning_matches_naive_and_loops(case):
     words, diagram, space = case
     plan = contraction_plan(tuple(w.type for w in words), diagram, space)
