@@ -206,9 +206,12 @@ def build_parser():
     return parser
 
 
+# built once per process: a build takes 1-2 ms and leaves cyclic garbage
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # results are checked for non-finite values, so numpy's overflow
         # warnings would only repeat the error line

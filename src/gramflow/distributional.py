@@ -6,14 +6,16 @@ the word's total occurrence count.  Windows are symmetric, measured in
 token positions, and never cross document boundaries.  Everything is
 deterministic: document order never affects the output.
 
-:func:`build_model` numbers the tokens with one ``dict.fromkeys`` over the
-chained documents and counts every window in one numpy pass, and
-:func:`load_model` parses a block of lines per ``np.loadtxt`` call; the
-vectors of a model either returns are rows of one shared matrix.
-:func:`save_model` writes each run of zeros as one precomputed string and
-takes each distinct coordinate's ``repr`` once, from a memo.  Model files
-round-trip bit-exactly: :func:`load_model` then :func:`save_model` writes
-the same bytes.  Errors:
+:func:`tokenize` splits a text that is ASCII once lowercased with one
+``str.translate`` and any other text with a regex.  :func:`build_model`
+numbers the tokens with one ``dict.fromkeys`` over the chained documents
+and counts every window in one numpy pass, and :func:`load_model` parses a
+block of lines per ``np.loadtxt`` call; the vectors of a model either
+returns are rows of one shared matrix.  :func:`save_model` lays out a
+block of lines at a time with numpy index arithmetic: each run of zeros is
+one precomputed string, and each distinct coordinate of the block takes
+one ``repr``.  Model files round-trip bit-exactly: :func:`load_model` then
+:func:`save_model` writes the same bytes.  Errors:
 :class:`ArgumentError` (also a ``ValueError``) for a basis size or window
 that is not an integer or is below 1, repeated basis words, or a model
 :func:`save_model` could not load back, :class:`CorpusError` for
@@ -26,7 +28,6 @@ from __future__ import annotations
 import io
 import math
 import re
-import struct
 from dataclasses import dataclass, field
 from collections import Counter
 from itertools import chain
@@ -51,13 +52,24 @@ __all__ = [
 ]
 
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
+# str.translate table for ASCII: letters and digits kept, the rest (what _WORD
+# does not match) made spaces; a str, since each miss in a dict costs a KeyError
+_SEPARATORS = "".join(c if c.isalnum() else " " for c in map(chr, range(128)))
 
 DEFAULT_WINDOW = 2
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on maximal runs of non-alphanumeric characters."""
-    return _WORD.findall(text.lower())
+    """Lowercase and split on maximal runs of non-alphanumeric characters.
+
+    A text that is ASCII once lowercased is split by one ``str.translate``
+    and ``str.split``; any other text by the regex ``[^\\W_]+``, which is
+    faster there.  Both give the same tokens.
+    """
+    low = text.lower()  # lowercased first: the Kelvin sign U+212A lowers to ASCII "k"
+    if low.isascii():
+        return low.translate(_SEPARATORS).split()
+    return _WORD.findall(low)
 
 
 def documents_from_text(text: str) -> list[list[str]]:
@@ -211,22 +223,10 @@ def similarity(model: VectorSpaceModel, w1: str, w2: str) -> float:
     return cosine(model.vectors[w1], model.vectors[w2])
 
 
-_MEMO_SIZE = 1 << 16
-
-
-class _FloatReprs(dict):
-    """``repr`` of float64 values, plus a space, by bit pattern, filled on demand.
-
-    Keys are bit patterns so that ``-0.0`` stays apart from ``0.0``.  At
-    most ``_MEMO_SIZE`` entries are kept, which bounds the memory spent on
-    a model with many distinct coordinates.
-    """
-
-    def __missing__(self, bits):
-        text = repr(struct.unpack("<d", struct.pack("<q", bits))[0]) + " "
-        if len(self) < _MEMO_SIZE:
-            self[bits] = text
-        return text
+# rows written per file write, and lines parsed per np.loadtxt call: large
+# enough that the per-call overhead vanishes, small enough that the block's
+# text and its array copy stay small
+_BLOCK_LINES = 1024
 
 
 def save_model(model: VectorSpaceModel, path) -> None:
@@ -234,10 +234,11 @@ def save_model(model: VectorSpaceModel, path) -> None:
 
     Word lines are sorted by token and hold the token, its occurrence
     count, and the vector coordinates, each written as ``repr(float(x))``;
-    floats round-trip bit-exactly.  A row that is under half nonzero (by
-    bit pattern, so ``-0.0`` counts as nonzero) is written as precomputed
-    runs of ``0.0`` between its nonzero coordinates, whose text comes from
-    a memo kept for this call; other rows take ``repr`` per coordinate.
+    floats round-trip bit-exactly.  The text of ``_BLOCK_LINES`` rows at a
+    time is laid out by numpy index arithmetic and written with one join:
+    each run of zeros is one precomputed string, and each distinct nonzero
+    coordinate of the block (by bit pattern, so ``-0.0`` is nonzero) takes
+    one ``repr``.
 
     Raises :class:`ArgumentError`, before the file is opened, for what
     :func:`load_model` would reject or it could not write: a token or basis
@@ -264,27 +265,41 @@ def save_model(model: VectorSpaceModel, path) -> None:
             # finite unless a coordinate is not, or it overflows; only then look at each
             if not math.isfinite(vec.dot(vec)) and not np.isfinite(vec).all():
                 raise ArgumentError(f"vector of {tok!r} has a non-finite coordinate")
-    # A vector built from a corpus is mostly zeros and repeats a few ratios.
-    # runs[d] is the text of the d - 1 zeros before a nonzero coordinate d
-    # places after the previous one.  A dense vector would mostly miss the
-    # memo, which costs more than plain repr.
-    memo = _FloatReprs().__getitem__
-    runs = ["0.0 " * (d - 1) for d in range(k + 2)]
+    tokens = sorted(model.vectors)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#basis " + " ".join(model.basis.words) + "\n")
-        for tok in sorted(model.vectors):
-            bits = np.asarray(model.vectors[tok], dtype=np.float64).view(np.int64)
-            nonzero = bits.nonzero()[0]  # -0.0 has a nonzero bit pattern
-            if 2 * len(nonzero) < k:
-                at = nonzero.tolist()
-                pieces = [None] * (2 * len(at))
-                pieces[0::2] = map(runs.__getitem__, map(int.__sub__, at, [-1, *at]))
-                pieces[1::2] = map(memo, bits[nonzero].tolist())
-                pieces.append(runs[k - at[-1] if at else k + 1])
-                row = "".join(pieces)[:-1]
-            else:
-                row = " ".join(map(repr, bits.view(np.float64).tolist()))
-            fh.write(f"{tok} {model.counts[tok]} {row}\n")
+        for start in range(0, len(tokens), _BLOCK_LINES):
+            block = tokens[start:start + _BLOCK_LINES]
+            # an extra nonzero column marks where each line ends
+            rows = np.ones((len(block), k + 1))
+            rows[:, :k] = [model.vectors[tok] for tok in block]
+            fh.write(_block_text([f"{tok} {model.counts[tok]}" for tok in block], rows))
+
+
+def _block_text(heads, rows) -> str:
+    """The model file lines of one block: ``heads[i]``, then row ``i``'s coordinates.
+
+    ``rows`` holds a line's k coordinates and then, in column k, a nonzero
+    marker of the line's end.
+    """
+    k = rows.shape[1] - 1
+    zeros = np.array([" 0.0" * d for d in range(k + 1)], dtype=object)
+    end = "\n" if k else " \n"  # a line with no coordinates keeps the space before them
+    bits = rows.view(np.int64)
+    row, col = np.nonzero(bits)  # -0.0 has a nonzero bit pattern
+    values, which = np.unique(bits[row, col], return_inverse=True)
+    text = np.array([" " + repr(x) for x in values.view(np.float64).tolist()], dtype=object)[which]
+    text[col == k] = end
+    # the zeros before each entry; a line's first entry follows the marker
+    # in column k of the line before, so its difference comes out k + 1 short
+    gaps = (np.diff(col, prepend=k) - 1) % (k + 1)
+    # a line is its head, then, for each entry, the zeros before it and its text
+    at = row + 2 * np.arange(len(row))
+    pieces = np.empty(len(heads) + 2 * len(row), dtype=object)
+    pieces[at[np.diff(row, prepend=-1) != 0]] = heads
+    pieces[at + 1] = zeros[gaps]
+    pieces[at + 2] = text
+    return "".join(pieces.tolist())
 
 
 def load_model(path) -> VectorSpaceModel:
@@ -323,11 +338,6 @@ def _count_line_breaks(raw) -> int:
         if b"\r" in chunk:
             count += chunk.count(b"\r") - chunk.count(b"\r\n")
     return count
-
-
-# lines parsed per np.loadtxt call: large enough that the call's overhead
-# vanishes, small enough that the block's text and its parsed copy stay small
-_BLOCK_LINES = 1024
 
 
 def _read_model(fh, path, line_breaks, size) -> VectorSpaceModel:

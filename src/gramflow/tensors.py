@@ -31,6 +31,7 @@ class SpaceAssignment:
 
     Immutable: ``dims`` is a read-only mapping, and two assignments of the
     same dimensions compare and hash equal, so a space can key a cache.
+    It pickles and copies as the plain dict it is built from.
     """
 
     dims: Mapping[str, int] = field(compare=False)
@@ -47,6 +48,9 @@ class SpaceAssignment:
             clean[name] = int(d)
         object.__setattr__(self, "dims", MappingProxyType(clean))
         object.__setattr__(self, "_items", tuple(sorted(clean.items())))
+
+    def __reduce__(self):
+        return SpaceAssignment, (dict(self.dims),)
 
     def dim(self, base: str) -> int:
         try:

@@ -9,6 +9,7 @@ but read, convert and check every value and line on their own.
 
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -245,6 +246,11 @@ def meaning_by_loops(tensors, sizes, links, through, dims):
             val *= float(np.asarray(t)[tuple(idx[off + a] for a in range(k))])
         out[tuple(idx[p] for p in through)] += val
     return out
+
+
+def tokens_by_regex(text):
+    """Corpus tokens: maximal runs of letters and digits of the lowercased text."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 def model_by_loops(corpus, basis_words, window):

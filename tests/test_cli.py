@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -330,6 +331,21 @@ def test_each_call_reads_its_files_again(tmp_path, capsys):
     (tmp_path / "it.tns").write_text("2\n0.25 -3.0\n")
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["vector"] == [0.25, -3.0]
+
+
+def test_in_process_calls_leave_no_cyclic_garbage(capsys):
+    argv = ["--json", "parse", "Alice hates Bob", *DEMO_ARGS]
+    assert cli.main(argv) == 0  # anything loaded on first use is loaded now
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    payloads = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(payloads) == 6 and all(p["links"] == [[0, 1], [3, 4]] for p in payloads)
 
 
 def test_repeated_runs_are_identical():

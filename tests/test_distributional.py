@@ -25,7 +25,7 @@ from gramflow import (
 )
 from gramflow import distributional
 from gramflow.distributional import documents_from_text, load_corpus
-from oracles import model_by_lines, model_by_loops
+from oracles import model_by_lines, model_by_loops, tokens_by_regex
 
 
 def test_tokenize_examples():
@@ -33,6 +33,21 @@ def test_tokenize_examples():
     assert tokenize("don't") == ["don", "t"]
     assert tokenize("") == []
     assert tokenize("__under_score__") == ["under", "score"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(st.characters(max_codepoint=127))))
+@example("\u0130stanbul")  # İ lowers to "i" and a combining dot
+@example("\u212a K\u212ag")  # the Kelvin sign lowers to ASCII "k"
+@example("\uff21\uff42\uff43 \uff11")  # fullwidth letters and digit
+@example("\u00bd cup, 1\u00bd")  # vulgar fraction one half
+@example("\u0663\u0664 \u0660-\u0669")  # Arabic-Indic digits
+@example("\U0001d7d8\U0001d7d9 \U00011066")  # non-BMP digits
+@example("a\u00a0b")  # no-break space
+@example("a_b A__B_")  # the underscore separates
+@example("Tab\tline\nfeed\x1c\x1f\x7f\x00end")  # ASCII controls
+def test_tokenize_matches_regex_oracle(text):
+    assert tokenize(text) == tokens_by_regex(text)
 
 
 def test_documents_split_on_blank_lines():
@@ -614,6 +629,46 @@ def test_memo_formatter_past_its_capacity(tmp_path):
     write_by_repr(model, tmp_path / "repr.txt")
     assert (tmp_path / "memo.txt").read_bytes() == (tmp_path / "repr.txt").read_bytes()
     back = load_model(tmp_path / "memo.txt")
+    for tok, vec in model.vectors.items():
+        assert back.vectors[tok].tobytes() == vec.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(sparse_rows(k), min_size=1, max_size=9))), st.sampled_from([1, 2, 3]))
+def test_save_model_blocks_write_plain_repr(tmp_path_factory, k_rows, block_lines):
+    # lines cut into blocks of one to three rows, so rows of every kind
+    # start, end and fill a block
+    tmp = tmp_path_factory.mktemp("model")
+    model = random_model(*k_rows)
+    with mock.patch.object(distributional, "_BLOCK_LINES", block_lines):
+        save_model(model, tmp / "blocks.txt")
+    write_by_repr(model, tmp / "repr.txt")
+    assert (tmp / "blocks.txt").read_bytes() == (tmp / "repr.txt").read_bytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_save_model_past_two_blocks(tmp_path, k):
+    rng = np.random.default_rng(k)
+    n = 2 * distributional._BLOCK_LINES + 37
+    rows = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-300, 300, (n, k))
+    rows[rng.random(rows.shape) < 0.6] = 0.0
+    if k:
+        rows[1::5] = 0.0  # empty rows
+        rows[2::5] = 0.0
+        rows[2::5, 0] = 0.5  # nonzero only at the first column
+        rows[3::5] = 0.0
+        rows[3::5, -1] = 5e-324  # only at the last, a subnormal
+        rows[4::7] = rng.random((len(rows[4::7]), k)) + 1.0  # dense
+        rows[5::11, 0] = -0.0
+        rows[6::13, -1] = -2.2250738585072014e-308
+        rows[7::3] = -0.0  # signed zeros only
+    model = random_model(k, rows)
+    save_model(model, tmp_path / "blocks.txt")
+    write_by_repr(model, tmp_path / "repr.txt")
+    assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "repr.txt").read_bytes()
+    back = load_model(tmp_path / "blocks.txt")
+    assert back.counts == model.counts
     for tok, vec in model.vectors.items():
         assert back.vectors[tok].tobytes() == vec.tobytes()
 

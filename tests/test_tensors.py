@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,6 +69,17 @@ def test_space_assignment_is_immutable_and_hashable():
     assert sa != SpaceAssignment({"n": 3, "s": 3})
     assert sa != SpaceAssignment({"n": 3})
     assert {sa: 1}[same] == 1
+
+
+@pytest.mark.parametrize("copy_of", [lambda sa: pickle.loads(pickle.dumps(sa)), copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_space_assignment_pickles_and_copies(copy_of):
+    sa = SpaceAssignment({"n": 3, "s": np.int64(2)})
+    back = copy_of(sa)
+    assert back == sa and hash(back) == hash(sa)
+    assert back.dims == {"n": 3, "s": 2} and back.dim("s") == 2
+    with pytest.raises(TypeError):
+        back.dims["n"] = 4
 
 
 def test_kron_basis_vectors():
