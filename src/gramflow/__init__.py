@@ -11,32 +11,9 @@ layers (``semantics``, ``tensors``, ``lexicon``, ``distributional``) load
 their module on first access and are then cached here.
 """
 
-from .errors import (
-    ArgumentError,
-    CorpusError,
-    DegenerateVectorError,
-    DiagramError,
-    GramflowError,
-    ParseError,
-    ShapeError,
-    SizeCapError,
-    SpaceError,
-    UnknownWordError,
-)
-from .pregroup import (
-    PregroupType,
-    ReductionDiagram,
-    SimpleType,
-    ascii_diagram,
-    contracts,
-    enumerate_reductions,
-    is_sentence,
-    left_adjoint,
-    parse_type,
-    reduce,
-    right_adjoint,
-    validate_diagram,
-)
+from . import errors, pregroup
+from .errors import *  # noqa: F401,F403
+from .pregroup import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
@@ -50,14 +27,7 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [
-    "ArgumentError", "CorpusError", "DegenerateVectorError", "DiagramError", "GramflowError",
-    "ParseError", "ShapeError", "SizeCapError", "SpaceError", "UnknownWordError",
-    "PregroupType", "ReductionDiagram", "SimpleType", "ascii_diagram", "contracts",
-    "enumerate_reductions", "is_sentence", "left_adjoint", "parse_type", "reduce",
-    "right_adjoint", "validate_diagram",
-    *_HOME,
-]
+__all__ = [*errors.__all__, *pregroup.__all__, *_HOME]
 
 
 def __getattr__(name):

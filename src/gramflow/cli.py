@@ -38,9 +38,12 @@ def _parse_dims(text):
         if not part:
             continue
         base, sep, value = part.partition(":")
-        if not sep or not base or not value.isdecimal() or int(value) < 1:
-            raise GramflowError(f"bad --dims entry {part!r}, expected base:dim with dim >= 1")
-        dims[base] = int(value)
+        try:
+            if not sep or not base or not value.isdecimal():
+                raise ValueError
+            dims[base] = int(value)  # refuses more than sys.get_int_max_str_digits() digits
+        except ValueError:
+            raise GramflowError(f"bad --dims entry {part!r}, expected base:dim with dim >= 1") from None
     return dims
 
 

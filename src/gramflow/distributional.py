@@ -34,7 +34,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ArgumentError, CorpusError, DegenerateVectorError, ParseError, UnknownWordError
+from .errors import (ArgumentError, CorpusError, DegenerateVectorError, ParseError, UnknownWordError,
+                     positive_int)
 from .semantics import cosine
 
 __all__ = [
@@ -104,14 +105,6 @@ def load_corpus(paths) -> list[list[str]]:
     return corpus
 
 
-def _check_size(what: str, value) -> None:
-    """Raise :class:`ArgumentError` unless ``value`` is an integer of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ArgumentError(f"{what} is {value!r}, not an integer")
-    if value < 1:
-        raise ArgumentError(f"{what} must be >= 1, got {value}")
-
-
 @dataclass(frozen=True)
 class BasisSpec:
     """The ordered context words spanning the space, plus the window width."""
@@ -124,8 +117,7 @@ class BasisSpec:
         if len(set(self.words)) != len(self.words):
             word, _ = Counter(self.words).most_common(1)[0]
             raise ArgumentError(f"basis words must be distinct, {word!r} repeats")
-        _check_size("window", self.window)
-        object.__setattr__(self, "window", int(self.window))
+        object.__setattr__(self, "window", positive_int("window", self.window))
 
 
 @dataclass
@@ -139,7 +131,7 @@ class VectorSpaceModel:
 
 def build_basis(corpus, k: int, stop=None) -> BasisSpec:
     """Choose the k most frequent tokens (ties lexicographic) as the basis."""
-    _check_size("basis size", k)
+    k = positive_int("basis size", k)
     freq = Counter(chain.from_iterable(corpus))
     for tok in stop or ():
         freq.pop(tok, None)

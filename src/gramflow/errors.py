@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-argument check."""
+
+import operator
+
+__all__ = ["GramflowError", "ArgumentError", "DiagramError", "ParseError", "SpaceError", "ShapeError",
+           "SizeCapError", "UnknownWordError", "DegenerateVectorError", "CorpusError"]
 
 
 class GramflowError(Exception):
@@ -39,3 +44,19 @@ class DegenerateVectorError(GramflowError):
 
 class CorpusError(GramflowError):
     """The corpus cannot support the requested operation (empty, too small)."""
+
+
+def positive_int(what: str, value) -> int:
+    """``value`` as an ``int``; :class:`ArgumentError` unless it is an integer of at least 1.
+
+    Any type with ``__index__`` passes, numpy integers included, but not ``bool``.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ArgumentError(f"{what} is {value!r}, not an integer")
+    if number < 1:
+        raise ArgumentError(f"{what} must be >= 1, got {number}")
+    return number

@@ -125,8 +125,9 @@ def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
 
     Every entry is resolved to a concrete tensor immediately and checked
     against the shape its type requires, so shape errors surface here and
-    not in the middle of a contraction.  Relative file references are
-    resolved against the lexicon file's directory.
+    not in the middle of a contraction; a ``logical:`` entry must also have
+    type ``LOGICAL_TYPE``.  Relative file references are resolved against the
+    lexicon file's directory.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -172,5 +173,9 @@ def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
                 f"{path}:{ln}: word {word!r} has tensor shape "
                 f"{list(tensor.shape)} but type {type_text!r} requires {list(expected)}"
             )
+        # the routing tensor is wired for LOGICAL_TYPE: another type of its shape misroutes
+        if source.startswith("logical:") and str(ptype) != LOGICAL_TYPE:
+            raise ParseError(f"{path}:{ln}: logical word {word!r} has type {type_text!r}, "
+                             f"not {LOGICAL_TYPE!r}")
         entries[word] = (ptype, tensor)
     return Lexicon(entries, space)

@@ -21,11 +21,12 @@ All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .errors import ArgumentError, DiagramError, ParseError
+from .errors import DiagramError, ParseError, positive_int
 
 __all__ = [
     "SimpleType",
@@ -293,8 +294,7 @@ def enumerate_reductions(
 
     The first element, when any exist, is exactly ``reduce(seq, target)``.
     """
-    if limit < 1:
-        raise ArgumentError(f"limit must be >= 1, got {limit}")
+    limit = min(positive_int("limit", limit), sys.maxsize)  # islice takes no larger stop
     n = len(seq)
     diagrams = []
     for links in islice(_witness_links(tuple(seq), tuple(target)), limit):
@@ -319,7 +319,10 @@ def ascii_diagram(seq: PregroupType, diagram: ReductionDiagram) -> str:
     >>> print(ascii_diagram(seq, reduce(seq, parse_type("s"))))
     n  n^r  s  n^l  n
     \___/       \___/
+
+    A diagram that does not fit the sequence raises :class:`DiagramError`.
     """
+    validate_diagram(seq, diagram)
     labels = [str(t) for t in seq]
     cols = []
     offset = 0

@@ -35,7 +35,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateVectorError, DiagramError, ShapeError, SizeCapError
+from .errors import (ArgumentError, DegenerateVectorError, DiagramError, ShapeError, SizeCapError,
+                     positive_int)
 from .pregroup import PregroupType, ReductionDiagram, validate_diagram
 from .tensors import SpaceAssignment, cup, kron_all, shape_of
 
@@ -96,8 +97,8 @@ def meaning_naive(words, diagram, space, size_cap: int = DEFAULT_SIZE_CAP) -> np
     a delta factor per cup and a delta factor routing each surviving wire to
     its output.  Step 3 contracts the map with the word product.
 
-    Intended as a desk-scale oracle: refuses to materialize more than
-    ``size_cap`` entries.
+    Intended as a desk-scale oracle: refuses, before allocating anything,
+    a map of more than ``size_cap`` entries (the word product is no larger).
     """
     words = list(words)
     for w in words:
@@ -105,14 +106,13 @@ def meaning_naive(words, diagram, space, size_cap: int = DEFAULT_SIZE_CAP) -> np
         if tuple(np.shape(w.tensor)) != expected:
             raise _shape_error(w, expected)
     dims = _wire_dims(PregroupType(tuple(t for w in words for t in w.type)), diagram, space)
-    total = 1
-    for d in dims:
-        total *= d
-    if total > size_cap:
-        raise SizeCapError(f"word product holds {total} entries, above the cap of {size_cap}")
+    out_dims = [dims[p] for p in diagram.through]
+    # an axis per wire and one per surviving wire: no array built here is larger
+    entries = math.prod(out_dims) * math.prod(dims)
+    if entries > size_cap:
+        raise SizeCapError(f"linear map holds {entries} entries, above the cap of {size_cap}")
     big = kron_all([w.tensor for w in words])
 
-    out_dims = [dims[p] for p in diagram.through]
     n_out, n_in = len(out_dims), len(dims)
     fmap = np.ones(tuple(out_dims) + tuple(dims))
     for i, j in diagram.links:
@@ -376,8 +376,7 @@ def snake_check(d: int) -> np.ndarray:
     The composite is a d-by-d matrix; it equals the identity exactly, which
     is the defining yanking identity of the delta cup and cap.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = positive_int("dimension", d)
     cap = state = cup(d)
     out = np.zeros((d, d))
     for b in range(d):
@@ -412,10 +411,10 @@ def is_separable(tensor, split_after: int, tol: float = 1e-9) -> bool:
     times the largest.  The zero tensor counts as separable.
     """
     arr = np.asarray(tensor, dtype=float)
-    if not 1 <= split_after < arr.ndim:
-        raise ValueError(f"split_after must be in [1, {arr.ndim - 1}], got {split_after}")
+    if positive_int("split_after", split_after) >= arr.ndim:
+        raise ArgumentError(f"split_after must be in [1, {arr.ndim - 1}], got {split_after}")
     if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise ArgumentError(f"tol must be positive, got {tol}")
     rows = int(np.prod(arr.shape[:split_after]))
     sing = np.linalg.svd(arr.reshape(rows, -1), compute_uv=False)
     if len(sing) < 2:

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ArgumentError, ParseError, SpaceError
+from .errors import ParseError, SpaceError, positive_int
 from .pregroup import PregroupType
 
 __all__ = ["SpaceAssignment", "shape_of", "kron", "cup", "read_tensor", "write_tensor"]
@@ -41,11 +41,7 @@ class SpaceAssignment:
         clean = {}
         for base, d in self.dims.items():
             name = str(base)
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-                raise ArgumentError(f"dimension for base {name!r} is {d!r}, not an integer")
-            if d < 1:
-                raise ArgumentError(f"dimension for base {name!r} must be >= 1, got {d}")
-            clean[name] = int(d)
+            clean[name] = positive_int(f"dimension for base {name!r}", d)
         object.__setattr__(self, "dims", MappingProxyType(clean))
         object.__setattr__(self, "_items", tuple(sorted(clean.items())))
 
@@ -88,9 +84,7 @@ def cup(d: int) -> np.ndarray:
     Used both as a state (cup) and, read as a bilinear functional, as the
     cap that cancels a pair of wires by summing their matched coordinates.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return np.eye(d)
+    return np.eye(positive_int("dimension", d))
 
 
 def _uncommented(text):

@@ -28,6 +28,7 @@ from gramflow import (
     parse_type,
     shape_of,
 )
+from gramflow.lexicon import LOGICAL_TYPE
 
 
 def cancels(a, b):
@@ -381,7 +382,8 @@ def lexicon_by_lines(path, space, model=None):
     """A lexicon file loaded line by line: ``{word: (type, tensor)}`` in file order.
 
     Every line becomes a ``LexEntry`` with its type parsed anew, its tensor
-    resolved through :func:`tensor_by_floats` and its shape computed anew.
+    resolved through :func:`tensor_by_floats` and its shape computed anew; a
+    ``logical:`` entry must then have type ``LOGICAL_TYPE``.
     Errors, their order on a line and their messages are ``load_lexicon``'s.
     """
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -413,6 +415,10 @@ def lexicon_by_lines(path, space, model=None):
                 f"{path}:{ln}: word {word!r} has tensor shape "
                 f"{list(tensor.shape)} but type {type_text!r} requires {list(expected)}"
             )
+        # a logical word's tensor routes the wires of LOGICAL_TYPE and no other type
+        if source.startswith("logical:") and ptype != parse_type(LOGICAL_TYPE):
+            raise ParseError(f"{path}:{ln}: logical word {word!r} has type {type_text!r}, "
+                             f"not {LOGICAL_TYPE!r}")
         out[word] = (ptype, tensor)
     return out
 

@@ -1,5 +1,8 @@
+import contextlib
 import gc
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -8,10 +11,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import gramflow.cli as cli
 import gramflow.demo as demo
 from gramflow import SpaceAssignment, load_lexicon, load_model, meaning, parse_type, reduce
+from gramflow.lexicon import LOGICAL_TYPE
 
 DEMO_ARGS = ["--lexicon", demo.lexicon_path(), "--dims", "n:2,s:2"]
 
@@ -222,6 +227,22 @@ def test_dims_digits_int_cannot_read_are_data_errors():
     assert "bad --dims entry 'n:²'" in assert_one_line_error(out)
 
 
+def test_zero_dims_entry_reads_like_an_empty_basis_model(tmp_path, capsys):
+    (tmp_path / "model.txt").write_text("#basis\n")
+    errors = []
+    for flags in (["--dims", "n:0,s:2"], ["--model", str(tmp_path / "model.txt"), "--dims", "s:2"]):
+        assert cli.main(["parse", "alice", "--lexicon", demo.lexicon_path(), *flags]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: dimension for base 'n' must be >= 1, got 0\n"] * 2
+
+
+def test_dims_longer_than_int_reads_are_data_errors(capsys):
+    # int() refuses more than 4,300 digits by default, with a ValueError
+    entry = "n:" + "1" * 5000
+    assert cli.main(["parse", "alice", "--lexicon", demo.lexicon_path(), "--dims", entry]) == 2
+    assert capsys.readouterr().err == f"error: bad --dims entry {entry!r}, expected base:dim with dim >= 1\n"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["-k", "0"], "basis size must be >= 1, got 0"),
     (["-k", "2", "--window", "0"], "window must be >= 1, got 0"),
@@ -352,3 +373,120 @@ def test_repeated_runs_are_identical():
     first = run_cli("--json", "meaning", "Alice does not like Bob", *DEMO_ARGS)
     second = run_cli("--json", "meaning", "Alice does not like Bob", *DEMO_ARGS)
     assert first.stdout == second.stdout
+
+
+# ------------------------------------------------------------------- fuzz
+
+FINITE = st.floats(-10, 10).map(repr)
+ANY_NUMBER = FINITE | st.floats().map(repr) | st.sampled_from(
+    ["0", "-0.0", "1e308", "-1e308", "nan", "inf", "1_0", "x", "٣", "1e-320"])
+
+
+def numbers(number, count):
+    """``count`` numbers drawn from ``number``, on two lines."""
+    return st.lists(number, min_size=count, max_size=count).map(
+        lambda xs: " ".join(xs[:2]) + "\n" + " ".join(xs[2:]))
+
+
+def tensor(header, count, number=FINITE):
+    return numbers(number, count).map(f"# c\n{header}\n{{}}\n".format)
+
+
+# at n = s = 2 the tensor files fit these (type, source) pairs of each word
+FUZZ_ENTRIES = {
+    "a": [("n", "tensor:n.tns"), ("n", "vector")],
+    "b": [("n^r s n^l", "tensor:tv.tns")],
+    "c": [("n^r s", "choi:m.tns"), ("n^r s", "tensor:m.tns")],
+    "d": [("n", "vector"), ("n", "tensor:n.tns")],
+    "not": [(LOGICAL_TYPE, "logical:not:m.tns"), (LOGICAL_TYPE, "logical:does")],
+}
+FUZZ_WORDS = sorted(FUZZ_ENTRIES)
+# a bad type, a source of the wrong shape or kind, a logical type with another
+# wiring, a repeated word, a bad field count
+FAULT_LINE = st.tuples(st.sampled_from(FUZZ_WORDS + ["e"]),
+                       st.sampled_from(["n", "s", "n^r s n^l", "", "n^r n s^l s", "n?", "p"]),
+                       st.sampled_from(["vector", "tensor:tv.tns", "tensor:none.tns", "logical:does",
+                                        "logical:not:tv.tns", "mystery:x"])).map("\t".join) \
+    | st.sampled_from(["a\tn", "a\tn\tvector\tx", "# c", ""])
+
+
+@st.composite
+def lexicon_text(draw, faults=0):
+    lines = ["\t".join((w, *draw(st.sampled_from(FUZZ_ENTRIES[w])))) for w in FUZZ_WORDS]
+    for _ in range(faults):
+        lines.insert(draw(st.integers(0, len(lines))), draw(FAULT_LINE))
+    return "\n".join(lines) + "\n"
+
+
+def model_text(basis=st.just("a b"), count=st.just("1"), number=FINITE):
+    lines = st.lists(st.tuples(count, numbers(number, 2)).map(" ".join),
+                     min_size=len(FUZZ_WORDS), max_size=len(FUZZ_WORDS))
+    return st.tuples(basis, lines).map(lambda m: f"#basis {m[0]}\n" + "".join(
+        f"{w} {line.replace(chr(10), ' ')}\n" for w, line in zip(FUZZ_WORDS, m[1])))
+
+
+GRAMMATICAL = st.sampled_from(["a c", "d b a", "a not c", "a not b d", "d not not c"])
+GOOD_FILES = {"lex.tsv": lexicon_text(), "n.tns": tensor("2", 2), "m.tns": tensor("2 2", 4),
+              "tv.tns": tensor("2 2 2", 8), "model.txt": model_text()}
+# what may replace each part of a case that runs: arbitrary text and bytes for every
+# file, and for each part some faults more likely to pass the first checks
+ARBITRARY = st.text(max_size=12) | st.binary(max_size=12)
+FAULTS = {
+    "lex.tsv": lexicon_text(1) | lexicon_text(2) | ARBITRARY,
+    "n.tns": tensor("2", 2, ANY_NUMBER) | tensor("2", 3) | tensor("-1", 0) | ARBITRARY,
+    "m.tns": tensor("2 2", 4, ANY_NUMBER) | tensor("2", 2) | ARBITRARY,
+    "tv.tns": tensor("2 2 2", 8, ANY_NUMBER) | tensor("2 2 2 2", 16) | ARBITRARY,
+    "model.txt": model_text(number=ANY_NUMBER) | model_text(count=st.sampled_from(["0", "x", "-1"]))
+    | model_text(basis=st.sampled_from(["a", "a a", "", "a b c"])) | st.none() | ARBITRARY,
+    # no decimal digits in free text: a large dimension would make a logical word
+    # numpy can allocate
+    "dims": st.none() | st.lists(st.sampled_from(
+        ["n:1", "n:2", "s:1", "s:2", "s:3", "n:0", "n:10000000000", "x:2", "n", ":2", "n:²"])
+        | st.text(st.characters(blacklist_categories=["Nd"]), max_size=4), max_size=3).map(",".join),
+    "sentence": st.lists(st.sampled_from(FUZZ_WORDS + ["e", "?"]), max_size=5).map(" ".join),
+}
+
+
+@st.composite
+def cli_case(draw):
+    """Files, ``--dims`` and sentences of a call that runs, with up to two parts replaced."""
+    case = {name: draw(files) for name, files in GOOD_FILES.items()}
+    case |= {"dims": "n:2,s:2", "sentence": draw(GRAMMATICAL), "sentence2": draw(GRAMMATICAL)}
+    for part in draw(st.lists(st.sampled_from(sorted(FAULTS)), max_size=2)):
+        case[part] = draw(FAULTS[part])
+    return case
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["parse", "meaning", "compare"]), case=cli_case(), as_json=st.booleans())
+def test_any_files_and_dims_give_an_exit_code_and_no_traceback(fuzz_dir, command, case, as_json):
+    for name in GOOD_FILES:
+        data = case[name] or ""
+        (fuzz_dir / name).write_bytes(data.encode() if isinstance(data, str) else data)
+    sentences = [case["sentence"], case["sentence2"]][:1 + (command == "compare")]
+    argv = ["--json"] * as_json + [command, *sentences, "--lexicon", str(fuzz_dir / "lex.tsv")]
+    if case["model.txt"] is not None:
+        argv.append(f"--model={fuzz_dir / 'model.txt'}")
+    if case["dims"] is not None:
+        argv.append(f"--dims={case['dims']}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    else:
+        assert err.getvalue() == ""
+    if code == 0 and as_json and command != "parse":
+        payload = json.loads(out.getvalue())
+        assert all(map(math.isfinite, payload.get("vector", [payload.get("cosine")])))
+    if code == 0 and not as_json:
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()

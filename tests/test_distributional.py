@@ -448,6 +448,27 @@ def test_model_file_fault_and_non_utf8_are_reported_in_file_order(tmp_path, bad_
     assert ("not UTF-8 text" in got) != bad_line_first
 
 
+def test_model_file_non_utf8_after_valid_lines_is_reported(tmp_path):
+    # every line the reader sees before the undecodable text is valid
+    lines = long_model_lines(800, 3)
+    lines[700] += " \udcff"
+    path = tmp_path / "m.txt"
+    path.write_bytes(("#basis a b c\n" + "\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    assert path.stat().st_size > 8192 * 2
+    got = assert_loads_like_lines(path)
+    assert got.startswith(f"{path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("rows", [1, distributional._BLOCK_LINES + 1])
+def test_model_file_longer_than_its_counted_line_breaks_is_an_error(tmp_path, rows):
+    # lines added between the count and the read would outgrow the matrix
+    path = tmp_path / "m.txt"
+    path.write_text("#basis a b\n" + "\n".join(long_model_lines(rows, 2)) + "\n")
+    with mock.patch.object(distributional, "_count_line_breaks", return_value=rows - 1):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: file changed while it was read$"):
+            load_model(path)
+
+
 def test_blank_lines_cost_a_loaded_model_no_memory(tmp_path):
     # a matrix row per line break would take 2.4 GB for this 1.6 MB file
     path = tmp_path / "m.txt"

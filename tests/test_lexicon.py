@@ -124,6 +124,25 @@ def test_load_errors_name_the_line(tmp_path):
 
 
 @pytest.mark.parametrize("source", ["logical:does", "logical:not:neg.tns"])
+@pytest.mark.parametrize("type_text", ["n^r n s^l s", "s^r  n n^l s"])
+def test_logical_word_must_have_the_logical_type(tmp_path, source, type_text):
+    # the shape fits at n = s = 2, but the routing is wired for LOGICAL_TYPE
+    write_matrix(tmp_path / "neg.tns", [[0.0, 1.0], [1.0, 0.0]])
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"# aux\naux\t{type_text}\t{source}\n")
+    message = f"{path}:2: logical word 'aux' has type {type_text!r}, not {LOGICAL_TYPE!r}"
+    for load in (load_lexicon, lexicon_by_lines):
+        with pytest.raises(ParseError) as err:
+            load(path, SA22)
+        assert str(err.value) == message
+    # where the shape does not fit, the shape error comes first, as before
+    with pytest.raises(ShapeError):
+        load_lexicon(path, SpaceAssignment({"n": 2, "s": 3}))
+    path.write_text(f"aux\t {LOGICAL_TYPE.replace(' ', '  ')} \t{source}\n")
+    assert load_lexicon(path, SA22).bind("aux").type == parse_type(LOGICAL_TYPE)
+
+
+@pytest.mark.parametrize("source", ["logical:does", "logical:not:neg.tns"])
 def test_logical_word_too_large_for_numpy_is_a_size_cap_error(tmp_path, source):
     # d_n = 10**10 gives 4e20 entries: numpy refuses the shape before allocating anything
     write_matrix(tmp_path / "neg.tns", [[0.0, 1.0], [1.0, 0.0]])

@@ -1,11 +1,15 @@
 import importlib
 import json
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gramflow
+from gramflow import (ArgumentError, BasisSpec, SpaceAssignment, build_basis, cup,
+                      enumerate_reductions, is_separable, parse_type, snake_check)
 
 NUMPY_MODULES = ["numpy", "gramflow.semantics", "gramflow.tensors", "gramflow.lexicon",
                  "gramflow.distributional"]
@@ -50,3 +54,60 @@ def test_unknown_attribute_is_an_attribute_error():
         gramflow.no_such_name
     with pytest.raises(ImportError):
         from gramflow import no_such_name  # noqa: F401
+
+
+# the package's public names: a change here is a change of its API
+PUBLIC_NAMES = {
+    "ArgumentError", "CorpusError", "DegenerateVectorError", "DiagramError", "GramflowError",
+    "ParseError", "ShapeError", "SizeCapError", "SpaceError", "UnknownWordError",
+    "PregroupType", "ReductionDiagram", "SimpleType", "ascii_diagram", "contracts",
+    "enumerate_reductions", "is_sentence", "left_adjoint", "parse_type", "reduce",
+    "right_adjoint", "validate_diagram",
+    "BasisSpec", "VectorSpaceModel", "build_basis", "build_model", "load_model",
+    "meaning_vector", "save_model", "similarity", "tokenize",
+    "Lexicon", "load_lexicon", "make_logical_does", "make_logical_not",
+    "WordMeaning", "choi_embed", "cosine", "is_separable", "meaning", "meaning_naive",
+    "snake_check",
+    "SpaceAssignment", "cup", "kron", "read_tensor", "shape_of", "write_tensor",
+}
+
+
+def test_public_names_are_the_grammar_lists_and_the_lazy_names():
+    errors, pregroup = gramflow.errors, gramflow.pregroup
+    assert len(gramflow.__all__) == len(set(gramflow.__all__))
+    assert set(gramflow.__all__) == PUBLIC_NAMES
+    assert gramflow.__all__[:len(errors.__all__) + len(pregroup.__all__)] == [
+        *errors.__all__, *pregroup.__all__]
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert set(errors.__all__) == classes
+    # the integer check is shared by the layers, not offered to users
+    assert "positive_int" not in dir(gramflow)
+    with pytest.raises(AttributeError):
+        gramflow.positive_int
+
+
+SEQ = parse_type("n n^r")
+# every argument checked by errors.positive_int: (what its message calls it, a call)
+INTEGER_SITES = {
+    "build_basis": ("basis size", lambda v: build_basis([["a", "b"]], v)),
+    "BasisSpec": ("window", lambda v: BasisSpec(("a",), window=v)),
+    "SpaceAssignment": ("dimension for base 'n'", lambda v: SpaceAssignment({"n": v})),
+    "enumerate_reductions": ("limit", lambda v: enumerate_reductions(SEQ, SEQ[:0], v)),
+    "cup": ("dimension", cup),
+    "snake_check": ("dimension", snake_check),
+    "is_separable": ("split_after", lambda v: is_separable(np.ones((2, 2)), v)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, None, "3", 0])
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_argument_is_checked_alike(site, bad):
+    what, call = INTEGER_SITES[site]
+    message = f"{what} must be >= 1, got 0" if bad == 0 else f"{what} is {bad!r}, not an integer"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_argument_takes_a_numpy_integer(site):
+    INTEGER_SITES[site][1](np.int64(1))

@@ -193,6 +193,13 @@ def test_enumerate_limit_validation():
         enumerate_reductions(SENT, SENT, 0)
 
 
+def test_enumerate_limit_past_the_largest_index_is_no_limit():
+    seq = parse_type("n n^r n n^r")
+    every = enumerate_reductions(seq, parse_type("n n^r"), 100)
+    assert len(every) == 2
+    assert enumerate_reductions(seq, parse_type("n n^r"), 10**30) == every
+
+
 def test_enumerate_respects_limit_and_reduce_is_first():
     # either the left or the right n n^r block can survive as the target
     seq = parse_type("n n^r n n^r")
@@ -473,6 +480,17 @@ def test_ascii_diagram_nested_arcs_sit_below():
     lines = ascii_diagram(seq, reduce(seq, SENT)).splitlines()
     assert len(lines) == 3
     assert lines[1].count("/") == 4 and lines[2].count("/") == 2
+
+
+@pytest.mark.parametrize("seq, diagram", [
+    # a diagram for three wires drawn over one: the parent returned 'n'
+    (parse_type("n"), ReductionDiagram(3, ((0, 1),), (2,))),
+    # right length, but the cup joins n^r and n, which do not cancel
+    (parse_type("n n^r n n^r"), ReductionDiagram(4, ((1, 2),), (0, 3))),
+])
+def test_ascii_diagram_checks_its_diagram(seq, diagram):
+    with pytest.raises(DiagramError):
+        ascii_diagram(seq, diagram)
 
 
 def test_diagram_str_lists_links_and_through():

@@ -436,6 +436,29 @@ def test_plan_over_the_size_cap_is_refused_before_allocating():
     assert meaning(nouns[:2], reduce(seq[:2], seq[:2]), space).shape == (d, d)
 
 
+def test_naive_map_over_the_size_cap_is_refused_before_allocating():
+    # the word product holds 200**3 entries, under the cap; the map holds 200**6
+    d = 200
+    space = SpaceAssignment({"n": d})
+    nouns = [WordMeaning(f"w{k}", parse_type("n"), np.ones(d)) for k in range(3)]
+    seq = parse_type("n n n")
+    diagram = reduce(seq, seq)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=f"linear map holds {d**6} entries"):
+            meaning_naive(nouns, diagram, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d**3 * 8 // 1000
+    # at d = 12 the map (12**6 entries) is what the cap counts, not the word product
+    space = SpaceAssignment({"n": 12})
+    nouns = [WordMeaning(f"w{k}", parse_type("n"), np.ones(12)) for k in range(3)]
+    with pytest.raises(SizeCapError, match=f"{12**6} entries"):
+        meaning_naive(nouns, diagram, space, size_cap=12**6 - 1)
+    assert meaning_naive(nouns, diagram, space, size_cap=12**6).shape == (12, 12, 12)
+
+
 def test_plan_as_large_as_a_word_is_not_refused():
     # one step holds more than the cap, but no more than the word tensor
     space = SpaceAssignment({"n": 216})
