@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator, Optional
 
 from .errors import DiagramError, ParseError, positive_int
 
@@ -44,8 +43,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
+def _by_fields(op):  # op on two values' field tuples; a value of another class never compares
+    def compare(a, b):
+        return op(a._fields(), b._fields()) if b.__class__ is a.__class__ else NotImplemented
+    return compare
+
+
+class _Value:
+    """A frozen dataclass's behaviour from ``__slots__`` and ``_fields()``, without ``dataclasses``."""
+
+    __slots__ = ()
+    __eq__ = _by_fields(tuple.__eq__)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._fields())
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class SimpleType(_Value):
     """A basic type, given by its name, together with its adjoint order z.
 
     >>> n = SimpleType("n")
@@ -57,8 +83,16 @@ class SimpleType:
     True
     """
 
-    base: str
-    z: int = 0
+    __slots__ = __match_args__ = ("base", "z")
+    __lt__, __le__, __gt__, __ge__ = map(_by_fields, [
+        tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__])
+
+    def __init__(self, base: str, z: int = 0):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "z", z)
+
+    def _fields(self):
+        return self.base, self.z
 
     def __str__(self):
         if self.z == 0:
@@ -87,8 +121,7 @@ def contracts(a: SimpleType, b: SimpleType) -> bool:
     return a.base == b.base and b.z == a.z + 1
 
 
-@dataclass(frozen=True)
-class PregroupType:
+class PregroupType(_Value):
     """An ordered sequence of simple types; the empty sequence is the unit.
 
     Concatenation via ``+`` is associative and the empty type is its unit.
@@ -98,7 +131,13 @@ class PregroupType:
     n n^r s n^l n
     """
 
-    simples: tuple[SimpleType, ...] = ()
+    __slots__ = __match_args__ = ("simples",)
+
+    def __init__(self, simples: tuple[SimpleType, ...] = ()):
+        object.__setattr__(self, "simples", simples)
+
+    def _fields(self):
+        return (self.simples,)
 
     def __add__(self, other: "PregroupType") -> "PregroupType":
         return PregroupType(self.simples + other.simples)
@@ -143,8 +182,7 @@ def parse_type(text: str) -> PregroupType:
     return PregroupType(tuple(simples))
 
 
-@dataclass(frozen=True)
-class ReductionDiagram:
+class ReductionDiagram(_Value):
     """A planar set of cups witnessing a reduction, plus the surviving wires.
 
     ``links`` holds index pairs (i, j) with i < j, each a cup cancelling
@@ -153,13 +191,15 @@ class ReductionDiagram:
     nested: everything strictly under a cup is itself cancelled under it.
     """
 
-    length: int
-    links: tuple[tuple[int, int], ...]
-    through: tuple[int, ...]
+    __slots__ = __match_args__ = ("length", "links", "through")
 
-    def __post_init__(self):
-        object.__setattr__(self, "links", tuple(sorted(map(tuple, self.links))))
-        object.__setattr__(self, "through", tuple(self.through))
+    def __init__(self, length: int, links: tuple[tuple[int, int], ...], through: tuple[int, ...]):
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "links", tuple(sorted(map(tuple, links))))
+        object.__setattr__(self, "through", tuple(through))
+
+    def _fields(self):
+        return self.length, self.links, self.through
 
     def __str__(self):
         links = " ".join(f"({i},{j})" for i, j in self.links) or "none"
@@ -168,7 +208,7 @@ class ReductionDiagram:
 
 
 def validate_diagram(
-    seq: PregroupType, diagram: ReductionDiagram, target: Optional[PregroupType] = None
+    seq: PregroupType, diagram: ReductionDiagram, target: PregroupType | None = None
 ) -> None:
     """Check every structural invariant of a diagram against its sequence.
 
@@ -270,7 +310,7 @@ def _witness_links(seq, target) -> Iterator[tuple[tuple[int, int], ...]]:
         i, k, j = path.pop()
 
 
-def reduce(seq: PregroupType, target: PregroupType) -> Optional[ReductionDiagram]:
+def reduce(seq: PregroupType, target: PregroupType) -> ReductionDiagram | None:
     """Find a cancellation-only reduction of ``seq`` to ``target``.
 
     Returns a witnessing diagram, or ``None`` when no reduction exists.
@@ -303,7 +343,7 @@ def enumerate_reductions(
     return diagrams
 
 
-def is_sentence(seq: PregroupType, sentence: Optional[PregroupType] = None) -> bool:
+def is_sentence(seq: PregroupType, sentence: PregroupType | None = None) -> bool:
     """True when the sequence reduces to the sentence type (default ``s``)."""
     if sentence is None:
         sentence = PregroupType((SimpleType("s"),))

@@ -31,6 +31,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -408,13 +409,14 @@ def is_separable(tensor, split_after: int, tol: float = 1e-9) -> bool:
 
     Reshapes into a matrix with the first ``split_after`` axes as rows and
     tests for rank <= 1: the second singular value must be at most ``tol``
-    times the largest.  The zero tensor counts as separable.
+    (a finite real number above 0) times the largest.  The zero tensor
+    counts as separable.
     """
     arr = np.asarray(tensor, dtype=float)
     if positive_int("split_after", split_after) >= arr.ndim:
         raise ArgumentError(f"split_after must be in [1, {arr.ndim - 1}], got {split_after}")
-    if tol <= 0:
-        raise ArgumentError(f"tol must be positive, got {tol}")
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
+        raise ArgumentError(f"tol must be a positive finite number, got {tol!r}")
     rows = int(np.prod(arr.shape[:split_after]))
     sing = np.linalg.svd(arr.reshape(rows, -1), compute_uv=False)
     if len(sing) < 2:

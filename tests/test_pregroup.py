@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import subprocess
 import sys
@@ -132,6 +134,65 @@ def test_a_basic_type_is_its_name():
     ordered = sorted(parse_type("s n^r n s^l n^l"))
     assert [(t.base, t.z) for t in ordered] == [("n", -1), ("n", 0), ("n", 1), ("s", -1), ("s", 0)]
     assert SpaceAssignment({"n": 3}).dim(parse_type("n")[0].base) == 3
+
+
+# ------------------------------------------------------------- value types
+
+FIELDS = {SimpleType: ("base", "z"), PregroupType: ("simples",),
+          ReductionDiagram: ("length", "links", "through")}
+PAIRS = st.tuples(st.sampled_from(["n", "s", "np", "é"]), st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PAIRS, min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_value_types_are_immutable_field_tuples(pairs, rng):
+    simples = tuple(SimpleType(*pair) for pair in pairs)
+    cups = [[2 * i, 2 * i + 1] for i in range(len(pairs))]
+    rng.shuffle(cups)
+    for value in (simples[0], PregroupType(simples),
+                  ReductionDiagram(2 * len(cups) + 1, cups, [2 * len(cups)])):
+        cls, names = type(value), FIELDS[type(value)]
+        fields = tuple(getattr(value, name) for name in names)
+        assert cls(*fields) == value == cls(**dict(zip(names, fields)))
+        assert hash(value) == hash(fields)
+        assert value != fields and fields != value and value != fields[0]
+        assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={f!r}' for n, f in zip(names, fields))})"
+        assert eval(repr(value), {c.__name__: c for c in FIELDS}) == value
+        pickled = [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in [copy.copy(value), copy.deepcopy(value), *pickled]:
+            assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+        for name in names + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert tuple(getattr(value, name) for name in names) == fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAIRS, PAIRS)
+def test_simple_types_order_as_base_then_z(a, b):
+    x, y = SimpleType(*a), SimpleType(*b)
+    assert (x < y, x <= y, x > y, x >= y, x == y) == (a < b, a <= b, a > b, a >= b, a == b)
+    with pytest.raises(TypeError):
+        x < a
+    with pytest.raises(TypeError):
+        PregroupType((x,)) < PregroupType((y,))
+    match x:
+        case SimpleType(base, z):
+            assert (base, z) == a
+
+
+def test_value_type_defaults_and_normal_form():
+    assert SimpleType("n") == SimpleType("n", 0) == SimpleType(base="n", z=0)
+    assert PregroupType() == PregroupType(()) == parse_type("") and len(PregroupType()) == 0
+    d = ReductionDiagram(5, iter([[3, 4], (0, 1)]), [2])
+    assert d.links == ((0, 1), (3, 4)) and type(d.links[1]) is tuple and d.through == (2,)
+    assert d == ReductionDiagram(length=5, links=((0, 1), (3, 4)), through=(2,))
+    assert repr(d) == "ReductionDiagram(length=5, links=((0, 1), (3, 4)), through=(2,))"
+    assert repr(parse_type("n^r")) == "PregroupType(simples=(SimpleType(base='n', z=1),))"
+    assert SimpleType("n") != PregroupType((SimpleType("n"),))
 
 
 # ---------------------------------------------------------------- reduce

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gramflow import (
+    ArgumentError,
     DegenerateVectorError,
     PregroupType,
     ReductionDiagram,
@@ -570,8 +571,12 @@ def test_is_separable_parameter_validation():
         is_separable(np.zeros((2, 2)), 0)
     with pytest.raises(ValueError):
         is_separable(np.zeros((2, 2)), 2)
-    with pytest.raises(ValueError):
-        is_separable(np.zeros((2, 2)), 1, tol=0.0)
+    rank_one = np.outer([1.0, 2.0], [3.0, 4.0])
+    for tol in (0.0, -1e-9, None, "1e-9", True, math.nan, np.float64("nan"), math.inf,
+                np.array([1e-9])):
+        with pytest.raises(ArgumentError, match="^tol must be a positive finite number, got "):
+            is_separable(rank_one, 1, tol=tol)
+    assert is_separable(rank_one, 1, tol=np.float32(1e-6)) and is_separable(rank_one, 1, tol=1)
 
 
 # ------------------------------------------------------------------ cosine
