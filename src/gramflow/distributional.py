@@ -9,23 +9,23 @@ deterministic: document order never affects the output.
 :func:`tokenize` splits a text that is ASCII once lowercased with one
 ``str.translate`` and any other text with a regex.  :func:`build_model`
 numbers the tokens with one ``dict.fromkeys`` over the chained documents
-and counts every window in one numpy pass, and :func:`load_model` parses a
-block of lines per ``np.loadtxt`` call; the vectors of a model either
-returns are rows of one shared matrix.  :func:`save_model` lays out a
-block of lines at a time with numpy index arithmetic: each run of zeros is
-one precomputed string, and each distinct coordinate of the block takes
-one ``repr``.  Model files round-trip bit-exactly: :func:`load_model` then
-:func:`save_model` writes the same bytes.  Errors:
-:class:`ArgumentError` (also a ``ValueError``) for a basis size or window
-that is not an integer or is below 1, repeated basis words, or a model
-:func:`save_model` could not load back, :class:`CorpusError` for
-a corpus file that is not UTF-8 or too small for the basis, and
-:class:`ParseError`, with ``file:line``, for a malformed model file.
+and counts every window in one numpy pass; its vectors are rows of one
+matrix.  :func:`load_model` reads a file once, as text, and parses a block
+of lines per ``np.loadtxt`` call; its vectors are rows of one matrix per
+block.  :func:`save_model` lays out a block of lines at a time with numpy
+index arithmetic: each run of zeros is one precomputed string, and each
+distinct coordinate of the block takes one ``repr``.  Model files
+round-trip bit-exactly: :func:`load_model` then :func:`save_model` writes
+the same bytes.  Errors: :class:`ArgumentError` (also a ``ValueError``)
+for a basis size or window that is not an integer or is below 1, repeated
+basis words, or a model :func:`save_model` could not load back,
+:class:`CorpusError` for a corpus file that is not UTF-8 or too small for
+the basis, and :class:`ParseError`, with ``file:line``, for a malformed
+model file.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -297,42 +297,26 @@ def _block_text(heads, rows) -> str:
 def load_model(path) -> VectorSpaceModel:
     """Read a model file written by :func:`save_model`.
 
-    The vectors are rows of one shared ``(vocabulary, basis)`` matrix, and
-    both dicts list the tokens in file order.  ``np.loadtxt`` parses the
-    coordinates of ``_BLOCK_LINES`` lines at a time; a block that fails any
-    check is read again one line and one ``float`` at a time, so the files
-    accepted, their values and the error messages are a line reader's.
+    The file is read once, as text, so a pipe serves as well as a regular
+    file.  ``np.loadtxt`` parses the coordinates of ``_BLOCK_LINES`` lines
+    at a time, and the vectors of a block are rows of that block's own
+    ``(lines, basis)`` matrix; both dicts list the tokens in file order.  A
+    block that fails any check is read again one line and one ``float`` at
+    a time, so the files accepted, their values and the error messages are
+    a line reader's.
 
     Raises :class:`ParseError` for text that is not UTF-8, a missing or
     invalid ``#basis`` header, and, with ``file:line``, a line with the
     wrong number of fields, a bad or non-finite number, or a repeated token.
     """
     try:
-        with open(path, "rb") as raw:
-            line_breaks = _count_line_breaks(raw)
-            size = raw.tell()
-            raw.seek(0)
-            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
-                return _read_model(fh, path, line_breaks, size)
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_model(fh, path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _count_line_breaks(raw) -> int:
-    """Line breaks as text mode reads them: ``\\n``, ``\\r\\n`` and a lone ``\\r``.
-
-    A ``\\r\\n`` split between two chunks counts twice, so the count is
-    never below the number of lines after the first.
-    """
-    count = 0
-    for chunk in iter(lambda: raw.read(1 << 20), b""):
-        count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
-        if b"\r" in chunk:
-            count += chunk.count(b"\r") - chunk.count(b"\r\n")
-    return count
-
-
-def _read_model(fh, path, line_breaks, size) -> VectorSpaceModel:
+def _read_model(fh, path) -> VectorSpaceModel:
     header = fh.readline()
     if not header.startswith("#basis"):
         raise ParseError(f"{path}: missing '#basis' header line")
@@ -340,17 +324,13 @@ def _read_model(fh, path, line_breaks, size) -> VectorSpaceModel:
         basis = BasisSpec(tuple(header.split()[1:]))
     except ArgumentError as exc:
         raise ParseError(f"{path}:1: {exc}") from None
-    # The matrix is allocated once: a row per line break, but no more rows
-    # than the file's bytes can hold, since a valid line has 2k+3 characters
-    # or more.  Blank lines then cost no memory.
     k = len(basis.words)
-    matrix = np.empty((min(line_breaks, size // (2 * k + 3)), k))
-    counts = {}
+    vectors, counts = {}, {}
 
     def add(block):
-        rows = matrix[len(counts):len(counts) + len(block)]
-        if block and not _read_block(block, counts, rows):
-            _read_lines(block, counts, rows, path)
+        if block:
+            tokens, rows = _read_block(block, counts, k) or _read_lines(block, counts, k, path)
+            vectors.update(zip(tokens, rows))
 
     block = []
     try:
@@ -365,39 +345,43 @@ def _read_model(fh, path, line_breaks, size) -> VectorSpaceModel:
         add(block)  # a fault on a line before the undecodable text is reported first
         raise
     add(block)
-    return VectorSpaceModel(basis, dict(zip(counts, matrix)), counts)
+    return VectorSpaceModel(basis, vectors, counts)
 
 
-def _read_block(block, counts, rows) -> bool:
-    """Parse a block of ``(line number, line, head)`` into ``rows`` with one numpy call.
+def _read_block(block, counts, k):
+    """Parse a block of ``(line number, line, head)`` with one numpy call.
 
-    ``head`` is the line split at its first two runs of whitespace.  Adds
-    the block's tokens to ``counts`` and returns True only when every line
-    passes every check; otherwise changes nothing and returns False.
-    numpy splits fields at the same whitespace as ``str.split`` and parses
-    a subset of what ``float`` accepts into the same values.
+    ``head`` is the line split at its first two runs of whitespace.  When
+    every line passes every check, adds the block's tokens to ``counts`` and
+    returns them with the ``(len(block), k)`` array ``np.loadtxt`` made;
+    otherwise changes nothing and returns None.  numpy splits fields at the
+    same whitespace as ``str.split`` and parses a subset of what ``float``
+    accepts into the same values.
     """
     if any(len(head) != 3 for _, _, head in block):
-        return False
+        return None
     tokens = [head[0] for _, _, head in block]
     if len(set(tokens)) != len(tokens) or not counts.keys().isdisjoint(tokens):
-        return False
+        return None
     try:
         occ = [int(head[1]) for _, _, head in block]
         coords = np.loadtxt([head[2] for _, _, head in block], dtype=float, ndmin=2, comments=None)
     except ValueError:
-        return False
-    if coords.shape != rows.shape or not np.isfinite(coords).all():
-        return False
-    rows[...] = coords
+        return None
+    if coords.shape != (len(block), k) or not np.isfinite(coords).all():
+        return None
     counts.update(zip(tokens, occ))
-    return True
+    return tokens, coords
 
 
-def _read_lines(block, counts, rows, path) -> None:
-    """Parse a block line by line, raising :class:`ParseError` at its first fault."""
-    width = 2 + rows.shape[1]
-    for i, (ln, line, _) in enumerate(block):
+def _read_lines(block, counts, k, path):
+    """Parse a block line by line into its tokens and a new ``(len(block), k)`` array.
+
+    Adds the tokens to ``counts``; raises :class:`ParseError` at the first fault.
+    """
+    width = 2 + k
+    rows = np.empty((len(block), k))
+    for row, (ln, line, _) in zip(rows, block):
         fields = line.split()
         if len(fields) != width:
             raise ParseError(f"{path}:{ln}: expected {width} fields, got {len(fields)}")
@@ -412,6 +396,5 @@ def _read_lines(block, counts, rows, path) -> None:
         bad = next((t for t, x in zip(fields[2:], coords) if not math.isfinite(x)), None)
         if bad is not None:
             raise ParseError(f"{path}:{ln}: bad number: non-finite coordinate {bad!r}")
-        if i == len(rows):  # more valid lines than the bytes counted could hold
-            raise ParseError(f"{path}: file changed while it was read")
-        rows[i] = coords
+        row[:] = coords
+    return [head[0] for _, _, head in block], rows

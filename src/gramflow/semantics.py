@@ -417,8 +417,9 @@ def is_separable(tensor, split_after: int, tol: float = 1e-9) -> bool:
         raise ArgumentError(f"split_after must be in [1, {arr.ndim - 1}], got {split_after}")
     if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
         raise ArgumentError(f"tol must be a positive finite number, got {tol!r}")
-    rows = int(np.prod(arr.shape[:split_after]))
-    sing = np.linalg.svd(arr.reshape(rows, -1), compute_uv=False)
+    # sizes given, since numpy cannot infer an axis of an empty array
+    matrix = arr.reshape(math.prod(arr.shape[:split_after]), math.prod(arr.shape[split_after:]))
+    sing = np.linalg.svd(matrix, compute_uv=False)
     if len(sing) < 2:
         return True
     return sing[1] <= tol * sing[0]

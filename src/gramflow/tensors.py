@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ParseError, SpaceError, positive_int
+from .errors import ArgumentError, ParseError, SpaceError, positive_int
 from .pregroup import PregroupType
 
 __all__ = ["SpaceAssignment", "shape_of", "kron", "cup", "read_tensor", "write_tensor"]
@@ -87,9 +87,9 @@ def cup(d: int) -> np.ndarray:
     return np.eye(positive_int("dimension", d))
 
 
-def _uncommented(text):
-    """``(line number, line)`` for each line of ``text`` that is not a ``#`` comment."""
-    return [(ln, line) for ln, line in enumerate(text.splitlines(), start=1)
+def _uncommented(lines):
+    """``(line number, line)`` for each of ``lines`` that is not a ``#`` comment."""
+    return [(ln, line) for ln, line in enumerate(lines, start=1)
             if not line.lstrip().startswith("#")]
 
 
@@ -97,19 +97,23 @@ def read_tensor(path) -> np.ndarray:
     """Read the whitespace tensor format.
 
     Line 1 holds the space-separated dimensions (empty for a rank-0 tensor),
-    later lines hold the row-major values; ``#`` lines are comments.  Text
-    that is not UTF-8, a negative dimension, a shape numpy cannot hold and
-    ``nan`` or infinite values raise ``ParseError``.
+    later lines hold the row-major values; ``#`` lines are comments.  Lines
+    end at ``\\n``, ``\\r\\n`` or ``\\r``, as in text mode.  Text that is not
+    UTF-8, a negative dimension, a shape numpy cannot hold and ``nan`` or
+    infinite values raise ``ParseError``.
     """
     try:
-        # bytes decoded in one step: splitlines() below takes "\r\n" and "\r" as
-        # line ends, as text mode would, without an io.TextIOWrapper per file
+        # bytes decoded in one step, and lines ended below as text mode would
+        # end them, without an io.TextIOWrapper per file
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    all_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not all_lines[-1]:  # the text after the last line end is a line only when not empty
+        all_lines.pop()
     # a file without "#" has no comment line to drop
-    lines = [line for _, line in _uncommented(text)] if "#" in text else text.splitlines()
+    lines = [line for _, line in _uncommented(all_lines)] if "#" in text else all_lines
     if not lines:
         raise ParseError(f"{path}: empty tensor file")
     header = lines[0].split()
@@ -131,7 +135,7 @@ def read_tensor(path) -> np.ndarray:
     finite = np.isfinite(values)
     if not finite.all():
         first = rest = int(np.argmin(finite))
-        for ln, line in _uncommented(text)[1:]:
+        for ln, line in _uncommented(all_lines)[1:]:
             rest -= len(line.split())
             if rest < 0:
                 raise ParseError(f"{path}:{ln}: non-finite tensor value {tokens[first]!r}")
@@ -142,13 +146,19 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_tensor(tensor, path) -> None:
-    """Write the whitespace tensor format; values round-trip bit-exactly."""
+    """Write the whitespace tensor format; values round-trip bit-exactly.
+
+    Raises :class:`ArgumentError`, before the file is opened, for a ``nan``
+    or infinite value, which :func:`read_tensor` would reject.
+    """
     arr = np.asarray(tensor, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ArgumentError("tensor has a non-finite value")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(str(d) for d in arr.shape) + "\n")
         if arr.ndim == 0:
             fh.write(repr(float(arr)) + "\n")
             return
-        rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)
-        for row in rows:
+        # sizes given, since numpy cannot infer an axis of an empty array
+        for row in arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1]):
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -339,10 +339,10 @@ def tensor_by_floats(path):
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            lines = [line.rstrip("\n") for line in fh]  # ended by text mode's line ends only
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    numbered = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1)
+    numbered = [(ln, line) for ln, line in enumerate(lines, start=1)
                 if not line.lstrip().startswith("#")]
     if not numbered:
         raise ParseError(f"{path}: empty tensor file")

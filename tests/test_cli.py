@@ -21,10 +21,10 @@ from gramflow.lexicon import LOGICAL_TYPE
 DEMO_ARGS = ["--lexicon", demo.lexicon_path(), "--dims", "n:2,s:2"]
 
 
-def run_cli(*args, timeout=None):
+def run_cli(*args, timeout=None, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "gramflow", *args], capture_output=True, text=True,
-        timeout=timeout,
+        timeout=timeout, input=stdin,
     )
 
 
@@ -326,6 +326,18 @@ def test_model_feeds_noun_dimension(tmp_path):
     assert json.loads(out.stdout)["grammatical"] is False
 
 
+def test_model_from_standard_input(tmp_path):
+    model_path = tmp_path / "model.txt"
+    run_cli("space", "build", demo.corpus_path(), "-k", "2", "--out", str(model_path))
+    hates = os.path.join(os.path.dirname(demo.lexicon_path()), "hates.tns")
+    (tmp_path / "lex.tsv").write_text(f"alice\tn\tvector\nbob\tn\tvector\nhates\tn^r s n^l\ttensor:{hates}\n")
+    args = ["--json", "meaning", "alice hates bob", "--lexicon", str(tmp_path / "lex.tsv"), "--dims", "s:2"]
+    from_file = run_cli(*args, "--model", str(model_path))
+    from_pipe = run_cli(*args, "--model", "/dev/stdin", stdin=model_path.read_text())
+    assert from_file.returncode == 0, from_file.stderr
+    assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) == (0, from_file.stdout, "")
+
+
 # ------------------------------------------------------------------- snake
 
 def test_demo_snake_passes():
@@ -490,3 +502,98 @@ def test_any_files_and_dims_give_an_exit_code_and_no_traceback(fuzz_dir, command
         assert all(map(math.isfinite, payload.get("vector", [payload.get("cosine")])))
     if code == 0 and not as_json:
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+
+
+# argv itself: a call that runs, with each of its values replaced by a bad one 1 time in
+# 4 and each of its parts dropped 1 time in 8, in any order, and, 1 time in 3, one to
+# three more parts: a command word, an option with its value, a file, a number or text.
+# No --dims value exceeds 8 (a logical word numpy can allocate has no size cap), --out
+# only names paths under the test's directory, and no text starts with "-", so no
+# abbreviation of --out can reach another path.
+ARGV_TEXT = st.text(st.characters(blacklist_categories=["Nd", "Cs"], blacklist_characters="\x00"),
+                    max_size=8).filter(lambda t: not t.startswith("-"))
+ARGV_NUMBERS = st.sampled_from(["0", "-1", "-3", "", "1" * 30, "-" + "9" * 20, "2.5", "1e3"]) | ARGV_TEXT
+ARGV_DIMS = st.sampled_from(["n:8,s:8", "s:1", "n:0,s:2", "s:0", "n", ":2", "x:2", "n:²", "n:-2", ""]) | ARGV_TEXT
+ARGV_SENTENCES = ["Alice hates Bob", "bob hates alice", "Alice does not like Bob", "alice", "hates Bob"]
+# the positional values and the options of each command
+ARGV_COMMANDS = {
+    ("parse",): (1, ["--lexicon", "--model", "--dims"]),
+    ("meaning",): (1, ["--lexicon", "--model", "--dims"]),
+    ("compare",): (2, ["--lexicon", "--model", "--dims"]),
+    ("space", "build"): (1, ["-k", "--window", "--stop", "--out"]),
+    ("demo", "snake"): (0, ["-d"]),
+}
+ARGV_WORDS = ["parse", "space", "build", "demo", "snake", "xyzzy", "--json", "--help", "--model", "-k"]
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Paths a call may read, and paths ``--out`` may write."""
+    base = tmp_path_factory.mktemp("argv")
+    assert cli.main(["space", "build", demo.corpus_path(), "-k", "2", "--out", str(base / "model.txt")]) == 0
+    hates = os.path.join(demo.directory(), "hates.tns")
+    (base / "lex.tsv").write_text(f"alice\tn\tvector\nbob\tn\tvector\nhates\tn^r s n^l\ttensor:{hates}\n")
+    (base / "latin1.txt").write_bytes("café au lait\n".encode("latin-1"))
+    return {name: str(base / name) for name in ["model.txt", "lex.tsv", "latin1.txt", "out.txt"]} | {
+        "dir": str(base), "missing": str(base / "missing" / "out.txt"), "hates": hates}
+
+
+@st.composite
+def argv_case(draw, files):
+    bad_file = st.sampled_from([demo.lexicon_path(), demo.corpus_path(), *files.values()]) | ARGV_TEXT
+    numbers = st.sampled_from(["1", "2", "3"]), ARGV_NUMBERS
+    values = {  # option: (good values, bad values)
+        "--lexicon": (st.sampled_from([demo.lexicon_path(), files["lex.tsv"]]), bad_file),
+        "--model": (st.just(files["model.txt"]), bad_file),
+        "--dims": (st.sampled_from(["n:2,s:2", "s:2", "s:2,n:2"]), ARGV_DIMS),
+        "--stop": (st.sampled_from(["alice", "the,a", ""]), ARGV_TEXT),
+        "-k": numbers, "--basis-size": numbers, "-d": numbers, "--dimension": numbers,
+        "--window": (st.sampled_from(["1", "2", "1" + "0" * 30]), ARGV_NUMBERS),
+        "--out": (st.just(files["out.txt"]), st.sampled_from([files["dir"], files["missing"]])),
+        "sentence": (st.sampled_from(ARGV_SENTENCES), ARGV_TEXT),
+        "corpus": (st.just(demo.corpus_path()), bad_file),
+    }
+
+    def value(name):
+        good, bad = values[name]
+        return draw(good if draw(st.sampled_from([True, True, True, False])) else bad)
+
+    command = draw(st.sampled_from(sorted(ARGV_COMMANDS)))
+    count, options = ARGV_COMMANDS[command]
+    positional = "corpus" if command == ("space", "build") else "sentence"
+    parts = [[value(positional)] for _ in range(count)] + [[option, value(option)] for option in options]
+    parts = [part for part in parts if draw(st.sampled_from([True] * 7 + [False]))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, 2, 3]))):
+        noise = draw(st.sampled_from(["word", "value", "option"]))
+        option = draw(st.sampled_from(sorted(values)))
+        parts.insert(draw(st.integers(0, len(parts))), {
+            "word": [draw(st.sampled_from(ARGV_WORDS))], "value": [value(option)],
+            "option": [option, value(option)] if option.startswith("-") else [value(option)]}[noise])
+    # an option and its value as one "--option=value" token
+    parts = [[f"{part[0]}={part[1]}"] if len(part) == 2 and part[0].startswith("--") and draw(st.booleans())
+             else part for part in draw(st.permutations(parts))]
+    argv = [*command, *(token for part in parts for token in part)]
+    json_at = draw(st.sampled_from([None, 0, len(command), len(argv)]))
+    return argv if json_at is None else argv[:json_at] + ["--json"] + argv[json_at:]
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_argv_gives_an_exit_code_and_no_traceback(argv_files, data):
+    argv = data.draw(argv_case(argv_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            event(f"argparse exit {exc.code}")
+            assert exc.code in (0, 2)
+            return
+    event(f"{argv[0] if argv[0] != '--json' else argv[1]} exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    else:
+        assert err.getvalue() == ""

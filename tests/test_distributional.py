@@ -1,5 +1,8 @@
+import contextlib
+import os
 import random
 import re
+import threading
 from unittest import mock
 
 import numpy as np
@@ -338,10 +341,11 @@ def assert_loads_like_lines(path):
         got = model.vectors[tok]
         assert got.dtype == vec.dtype and got.shape == vec.shape
         assert got.tobytes() == vec.tobytes()
-    if model.vectors:
-        # every row is a view of one shared matrix
-        assert len({id(vec.base) for vec in model.vectors.values()}) == 1
-        assert next(iter(model.vectors.values())).base is not None
+    # every row is a view of its block's matrix, which holds exactly the block's rows
+    bases = {id(vec.base): vec.base for vec in model.vectors.values()}
+    assert all(vec.base is not None for vec in model.vectors.values())
+    assert len(bases) <= -(-len(model.vectors) // distributional._BLOCK_LINES)
+    assert sum(base.nbytes for base in bases.values()) == 8 * len(model.vectors) * len(words)
     return model
 
 
@@ -459,14 +463,34 @@ def test_model_file_non_utf8_after_valid_lines_is_reported(tmp_path):
     assert got.startswith(f"{path}: not UTF-8 text")
 
 
-@pytest.mark.parametrize("rows", [1, distributional._BLOCK_LINES + 1])
-def test_model_file_longer_than_its_counted_line_breaks_is_an_error(tmp_path, rows):
-    # lines added between the count and the read would outgrow the matrix
+def load_through_a_pipe(data):
+    """``load_model`` of ``data`` written by a thread into a pipe read as ``/dev/fd/N``."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(write_end, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return load_model(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("rows", [3, 2 * distributional._BLOCK_LINES + 5])
+def test_load_model_reads_a_pipe(tmp_path, rows):
+    # the longer text is larger than a pipe holds, so it cannot be read back as a whole
     path = tmp_path / "m.txt"
-    path.write_text("#basis a b\n" + "\n".join(long_model_lines(rows, 2)) + "\n")
-    with mock.patch.object(distributional, "_count_line_breaks", return_value=rows - 1):
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: file changed while it was read$"):
-            load_model(path)
+    path.write_text("#basis a b c\n" + "\n".join(long_model_lines(rows, 3)) + "\n")
+    assert rows < 10 or path.stat().st_size > 1 << 16
+    want, got = load_model(path), load_through_a_pipe(path.read_bytes())
+    assert got.basis == want.basis and got.counts == want.counts
+    assert list(got.vectors) == list(want.vectors)
+    assert all(got.vectors[tok].tobytes() == vec.tobytes() for tok, vec in want.vectors.items())
 
 
 def test_blank_lines_cost_a_loaded_model_no_memory(tmp_path):

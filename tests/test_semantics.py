@@ -566,6 +566,11 @@ def test_zero_tensor_counts_as_separable():
     assert is_separable(np.zeros((2, 3)), 1)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 3), (3, 1)])
+def test_empty_and_single_row_tensors_are_separable(shape):
+    assert is_separable(np.arange(math.prod(shape), dtype=float).reshape(shape) + 1, 1)
+
+
 def test_is_separable_parameter_validation():
     with pytest.raises(ValueError):
         is_separable(np.zeros((2, 2)), 0)

@@ -129,13 +129,21 @@ def test_cup_examples():
 
 def test_tensor_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    for shape in [(), (4,), (2, 3), (2, 2, 2), (1, 5, 2)]:
+    for shape in [(), (4,), (2, 3), (2, 2, 2), (1, 5, 2), (2, 0), (0, 3), (0,)]:
         arr = rng.normal(size=shape)
         path = tmp_path / "t.tns"
         write_tensor(arr, path)
         back = read_tensor(path)
         assert back.shape == arr.shape
         assert np.array_equal(back, arr)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_tensor_refuses_what_read_tensor_rejects(tmp_path, value):
+    path = tmp_path / "t.tns"
+    with pytest.raises(ArgumentError, match="^tensor has a non-finite value$"):
+        write_tensor(np.array([[1.0, 2.0], [value, 0.0]]), path)
+    assert not path.exists()
 
 
 def test_tensor_file_rank0_layout(tmp_path):
@@ -173,12 +181,21 @@ def test_tensor_file_comments_and_errors(tmp_path):
     ("# c\n2 2\n1.0 2.0\n\n# c\n3.0 -inf\n", "t.tns:6: non-finite tensor value '-inf'"),
     ("3\n1e999 1.0 nan\n", "t.tns:2: non-finite tensor value '1e999'"),
     ("\nInfinity\n", "t.tns:2: non-finite tensor value 'Infinity'"),
+    # a form feed ends no line
+    ("2\n# note\f\nnan 1\n", "t.tns:3: non-finite tensor value 'nan'"),
 ])
 def test_tensor_file_rejects_non_finite_values(tmp_path, text, message):
     path = tmp_path / "t.tns"
     path.write_text(text)
     with pytest.raises(ParseError, match=message):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("text", ["2\n# note\f x\n1 0\n", "2\r# note\x85 x\u2028y\r\n1\v0"])
+def test_tensor_file_lines_end_only_at_line_ends(tmp_path, text):
+    path = tmp_path / "t.tns"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_tensor(path).tolist() == [1.0, 0.0]
 
 
 def test_tensor_file_rejects_non_utf8_text(tmp_path):
@@ -198,14 +215,14 @@ VALUE_TEXTS = st.one_of(
 )
 TENSOR_LINES = st.lists(
     st.lists(VALUE_TEXTS, max_size=4).map(" ".join)
-    | st.sampled_from(["", "# comment", "  # 1 2", "\t"]),
+    | st.sampled_from(["", "# comment", "  # 1 2", "\t", "# note\f 1", "1\x1c2\u2028"]),
     max_size=6,
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.none() | st.lists(st.integers(0, 3), max_size=3), TENSOR_LINES,
-       st.sampled_from(["\n", "\r\n"]))
+       st.sampled_from(["\n", "\r\n", "\r"]))
 @example([2, 2], ["1_0 2.5", "# c", "", "-0.0 4.9e-324"], "\n")
 @example([2], ["1.0", "nan"], "\r\n")
 def test_read_tensor_matches_float_oracle(tmp_path_factory, dims, lines, newline):
