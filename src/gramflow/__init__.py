@@ -6,7 +6,8 @@ as a tensor contraction over word meaning tensors to obtain a sentence
 meaning vector.
 
 Importing the package loads only the grammar layer (``errors`` and
-``pregroup``), which never imports numpy.  The names of the numpy-backed
+``pregroup``), which imports nothing else but ``operator``: no numpy, no
+``re``.  The names of the numpy-backed
 layers (``semantics``, ``tensors``, ``lexicon``, ``distributional``) load
 their module on first access and are then cached here.
 """

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer-argument check."""
+"""Exception types shared across the package, and the one integer rule its argument checks share."""
 
 import operator
 
@@ -46,8 +46,8 @@ class CorpusError(GramflowError):
     """The corpus cannot support the requested operation (empty, too small)."""
 
 
-def positive_int(what: str, value) -> int:
-    """``value`` as an ``int``; :class:`ArgumentError` unless it is an integer of at least 1.
+def integer(what: str, value) -> int:
+    """``value`` as an ``int``; :class:`ArgumentError` unless it is an integer.
 
     Any type with ``__index__`` passes, numpy integers included, but not ``bool``.
     """
@@ -57,6 +57,12 @@ def positive_int(what: str, value) -> int:
         number = None
     if number is None or isinstance(value, bool):
         raise ArgumentError(f"{what} is {value!r}, not an integer")
+    return number
+
+
+def positive_int(what: str, value) -> int:
+    """``value`` as an ``int``; :class:`ArgumentError` unless it is an integer of at least 1."""
+    number = integer(what, value)
     if number < 1:
         raise ArgumentError(f"{what} must be >= 1, got {number}")
     return number

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParseError, ShapeError, SizeCapError, UnknownWordError
 from .pregroup import parse_type
-from .semantics import WordMeaning, choi_embed
+from .semantics import DEFAULT_SIZE_CAP, WordMeaning, choi_embed
 from .tensors import SpaceAssignment, read_tensor, shape_of
 
 __all__ = [
@@ -57,13 +57,29 @@ class Lexicon:
         return bound
 
 
-def _routing(word, dn, ds, mat=None):
-    """R[i, a, b, j] = delta_ij * mat[a, b] (the identity by default) as a logical word."""
+def _routing(word, space, negation=None, cap=None):
+    """R[i, a, b, j] = delta_ij * negation[a, b] (the identity for ``does``) as a logical word.
+
+    With a ``cap``, a tensor of more than ``cap`` entries raises
+    :class:`SizeCapError` before any of it is built.
+    """
+    dn, ds = space.dim("n"), space.dim("s")
+    mat = None
+    if word == "not":
+        mat = np.asarray(negation, dtype=float)
+        if mat.shape != (ds, ds):
+            raise ShapeError(
+                f"negation matrix must be {ds}x{ds} on the sentence space, "
+                f"got shape {list(mat.shape)}"
+            )
+    entries = dn * dn * ds * ds
+    need = f"logical:{word} needs d_n^2*d_s^2 = {entries} entries (d_n={dn}, d_s={ds}), more than"
+    if cap is not None and entries > cap:
+        raise SizeCapError(f"{need} the cap of {cap}")
     try:
         tensor = np.einsum("ij,ab->iabj", np.eye(dn), np.eye(ds) if mat is None else mat)
     except (ValueError, MemoryError):  # numpy refused the shape or the allocation
-        raise SizeCapError(f"logical:{word} needs d_n^2*d_s^2 = {dn * dn * ds * ds} entries "
-                           f"(d_n={dn}, d_s={ds}), more than numpy can allocate") from None
+        raise SizeCapError(f"{need} numpy can allocate") from None
     return WordMeaning(word, parse_type(LOGICAL_TYPE), tensor)
 
 
@@ -75,7 +91,7 @@ def make_logical_does(space: SpaceAssignment) -> WordMeaning:
     D[i, a, b, j] = delta_ij * delta_ab.  Composed with any verb phrase it
     leaves the sentence meaning unchanged.
     """
-    return _routing("does", space.dim("n"), space.dim("s"))
+    return _routing("does", space)
 
 
 def make_logical_not(space: SpaceAssignment, negation) -> WordMeaning:
@@ -87,14 +103,7 @@ def make_logical_not(space: SpaceAssignment, negation) -> WordMeaning:
     "subject does not verb-phrase" is ``negation`` applied to the meaning
     of "subject verb-phrase", and chained negations compose their matrices.
     """
-    dn, ds = space.dim("n"), space.dim("s")
-    mat = np.asarray(negation, dtype=float)
-    if mat.shape != (ds, ds):
-        raise ShapeError(
-            f"negation matrix must be {ds}x{ds} on the sentence space, "
-            f"got shape {list(mat.shape)}"
-        )
-    return _routing("not", dn, ds, mat)
+    return _routing("not", space, negation)
 
 
 def _resolve(word, src, space, base_dir):
@@ -109,12 +118,13 @@ def _resolve(word, src, space, base_dir):
         return read_tensor(resolve_path(src[len("tensor:"):]))
     if src.startswith("choi:"):
         return choi_embed(read_tensor(resolve_path(src[len("choi:"):])))
+    # capped as meaning caps its intermediates: d_n = d_s = 300 would be 65 GB
     try:
         if src == "logical:does":
-            return make_logical_does(space).tensor
+            return _routing("does", space, cap=DEFAULT_SIZE_CAP).tensor
         if src.startswith("logical:not:"):
             negation = read_tensor(resolve_path(src[len("logical:not:"):]))
-            return make_logical_not(space, negation).tensor
+            return _routing("not", space, negation, DEFAULT_SIZE_CAP).tensor
     except SizeCapError as exc:
         raise SizeCapError(f"entry {word!r}: {exc}") from None
     raise ParseError(f"entry {word!r}: unknown source spec {src!r}")

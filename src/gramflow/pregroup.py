@@ -18,14 +18,7 @@ links (0,1) (3,4); through 2
 All values are immutable and all functions are pure.
 """
 
-from __future__ import annotations
-
-import re
-import sys
-from collections.abc import Iterator
-from itertools import islice
-
-from .errors import DiagramError, ParseError, positive_int
+from .errors import ArgumentError, DiagramError, ParseError, integer, positive_int
 
 __all__ = [
     "SimpleType",
@@ -88,6 +81,10 @@ class SimpleType(_Value):
         tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__])
 
     def __init__(self, base: str, z: int = 0):
+        if not isinstance(base, str):
+            raise ArgumentError(f"simple type base is {base!r}, not a str")
+        if z.__class__ is not int:
+            z = integer("simple type order z", z)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "z", z)
 
@@ -157,9 +154,6 @@ class PregroupType(_Value):
         return " ".join(str(t) for t in self.simples)
 
 
-_TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^([lr]+))?$")
-
-
 def parse_type(text: str) -> PregroupType:
     """Parse type notation: simple types separated by whitespace or ``.``.
 
@@ -167,18 +161,16 @@ def parse_type(text: str) -> PregroupType:
     of ``l``/``r`` letters applied left to right (``n^rr`` is (n, +2)).
     An empty string denotes the unit type.
     """
+    if not isinstance(text, str):
+        raise ArgumentError(f"type text is {text!r}, not a str")
     simples = []
-    for token in re.split(r"[\s.]+", text.strip()):
-        if not token:
-            continue
-        m = _TOKEN.match(token)
-        if m is None:
+    for token in text.replace(".", " ").split():
+        name, caret, marks = token.partition("^")
+        # name: an ASCII letter, then ASCII letters, digits or "_"; marks: one or more of l, r
+        if not (name.isascii() and name[:1].isalpha() and name.replace("_", "").isalnum()
+                and (not caret or marks and not marks.strip("lr"))):
             raise ParseError(f"malformed simple type {token!r}")
-        name, marks = m.groups()
-        z = 0
-        for mark in marks or "":
-            z += 1 if mark == "r" else -1
-        simples.append(SimpleType(name, z))
+        simples.append(SimpleType(name, marks.count("r") - marks.count("l")))
     return PregroupType(tuple(simples))
 
 
@@ -255,14 +247,14 @@ def validate_diagram(
             )
 
 
-def _witness_links(seq, target) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield the link sets of all witnesses in canonical order.
+def _witness_links(seq, target):
+    """Yield the ``(links, through)`` of all witnesses in canonical order.
 
     Reducing ``seq`` to ``target`` is full cancellation of ``ext``: ``seq``
     followed by the target's right adjoints, last first.  Each through wire
-    is read off its cup to an appended adjoint (the yank of a cup and a
-    cap), and such cups are dropped.  No cup may start at an appended
-    position, or the unit would reduce to ``n^r n`` by expansion.
+    is the left end of a cup to an appended adjoint (the yank of a cup and
+    a cap), and such cups are dropped from the links.  No cup may start at
+    an appended position, or the unit would reduce to ``n^r n`` by expansion.
     ``canc[i][j]`` says [i, j) of ``ext`` cancels completely: i cups with
     some k in (i, j) such that [i+1, k) and [k+1, j) cancel.  Each position
     tries its partners nearest first and an appended one lies rightmost, so
@@ -293,7 +285,9 @@ def _witness_links(seq, target) -> Iterator[tuple[tuple[int, int], ...]]:
     path, after, i, j, k = [], {}, 0, size, -1
     while True:
         if i == size:
-            yield tuple((a, b) for a, b, _ in path if b < n)
+            # path holds its cups by increasing left end, so both come out sorted
+            yield (tuple((a, b) for a, b, _ in path if b < n),
+                   tuple(a for a, b, _ in path if b >= n))
         else:  # the next partner of i after k; canc makes every one complete
             k = next((m for m in range(k + 2, j, 2) if contracts(ext[i], ext[m])
                       and canc[i + 1][m] and canc[m + 1][j]), 0)
@@ -334,12 +328,12 @@ def enumerate_reductions(
 
     The first element, when any exist, is exactly ``reduce(seq, target)``.
     """
-    limit = min(positive_int("limit", limit), sys.maxsize)  # islice takes no larger stop
-    n = len(seq)
+    limit = positive_int("limit", limit)
     diagrams = []
-    for links in islice(_witness_links(tuple(seq), tuple(target)), limit):
-        used = {p for link in links for p in link}
-        diagrams.append(ReductionDiagram(n, links, tuple(p for p in range(n) if p not in used)))
+    for links, through in _witness_links(tuple(seq), tuple(target)):
+        diagrams.append(ReductionDiagram(len(seq), links, through))
+        if len(diagrams) == limit:
+            break
     return diagrams
 
 

@@ -249,6 +249,27 @@ def meaning_by_loops(tensors, sizes, links, through, dims):
     return out
 
 
+_TYPE_TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^([lr]+))?$")
+
+
+def parse_type_by_regex(text):
+    """Type notation as a tuple of ``(base, z)`` pairs: split on runs of whitespace or ``.``,
+    each token matched by one regular expression; ``ParseError`` as ``parse_type`` raises it."""
+    pairs = []
+    for token in re.split(r"[\s.]+", text.strip()):
+        if not token:
+            continue
+        m = _TYPE_TOKEN.match(token)
+        if m is None:
+            raise ParseError(f"malformed simple type {token!r}")
+        name, marks = m.groups()
+        z = 0
+        for mark in marks or "":
+            z += 1 if mark == "r" else -1
+        pairs.append((name, z))
+    return tuple(pairs)
+
+
 def tokens_by_regex(text):
     """Corpus tokens: maximal runs of letters and digits of the lowercased text."""
     return re.findall(r"[^\W_]+", text.lower())
@@ -384,7 +405,8 @@ def lexicon_by_lines(path, space, model=None):
     Every line becomes a ``LexEntry`` with its type parsed anew, its tensor
     resolved through :func:`tensor_by_floats` and its shape computed anew; a
     ``logical:`` entry must then have type ``LOGICAL_TYPE``.
-    Errors, their order on a line and their messages are ``load_lexicon``'s.
+    Errors, their order on a line and their messages are ``load_lexicon``'s,
+    for logical words under its size cap.
     """
     base_dir = os.path.dirname(os.path.abspath(path))
     try:

@@ -450,10 +450,11 @@ FAULTS = {
     "tv.tns": tensor("2 2 2", 8, ANY_NUMBER) | tensor("2 2 2 2", 16) | ARBITRARY,
     "model.txt": model_text(number=ANY_NUMBER) | model_text(count=st.sampled_from(["0", "x", "-1"]))
     | model_text(basis=st.sampled_from(["a", "a a", "", "a b c"])) | st.none() | ARBITRARY,
-    # no decimal digits in free text: a large dimension would make a logical word
-    # numpy can allocate
+    # no decimal digits in free text: a dimension under the logical-word size cap
+    # but far above 8 would build a logical word of up to 80 MB
     "dims": st.none() | st.lists(st.sampled_from(
-        ["n:1", "n:2", "s:1", "s:2", "s:3", "n:0", "n:10000000000", "x:2", "n", ":2", "n:²"])
+        ["n:1", "n:2", "s:1", "s:2", "s:3", "n:0", "n:10000000000", "n:57,s:57", "n:100,s:100",
+         "x:2", "n", ":2", "n:²"])
         | st.text(st.characters(blacklist_categories=["Nd"]), max_size=4), max_size=3).map(",".join),
     "sentence": st.lists(st.sampled_from(FUZZ_WORDS + ["e", "?"]), max_size=5).map(" ".join),
 }
@@ -507,13 +508,15 @@ def test_any_files_and_dims_give_an_exit_code_and_no_traceback(fuzz_dir, command
 # argv itself: a call that runs, with each of its values replaced by a bad one 1 time in
 # 4 and each of its parts dropped 1 time in 8, in any order, and, 1 time in 3, one to
 # three more parts: a command word, an option with its value, a file, a number or text.
-# No --dims value exceeds 8 (a logical word numpy can allocate has no size cap), --out
-# only names paths under the test's directory, and no text starts with "-", so no
-# abbreviation of --out can reach another path.
+# Two --dims values are over the logical-word size cap, and none under it exceeds 8
+# (such a word may still take 80 MB). --out only names paths under the test's
+# directory, and no text starts with "-", so no abbreviation of --out can reach
+# another path.
 ARGV_TEXT = st.text(st.characters(blacklist_categories=["Nd", "Cs"], blacklist_characters="\x00"),
                     max_size=8).filter(lambda t: not t.startswith("-"))
 ARGV_NUMBERS = st.sampled_from(["0", "-1", "-3", "", "1" * 30, "-" + "9" * 20, "2.5", "1e3"]) | ARGV_TEXT
-ARGV_DIMS = st.sampled_from(["n:8,s:8", "s:1", "n:0,s:2", "s:0", "n", ":2", "x:2", "n:²", "n:-2", ""]) | ARGV_TEXT
+ARGV_DIMS = st.sampled_from(["n:8,s:8", "n:57,s:57", "n:100,s:100", "s:1", "n:0,s:2", "s:0", "n", ":2",
+                             "x:2", "n:²", "n:-2", ""]) | ARGV_TEXT
 ARGV_SENTENCES = ["Alice hates Bob", "bob hates alice", "Alice does not like Bob", "alice", "hates Bob"]
 # the positional values and the options of each command
 ARGV_COMMANDS = {

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,26 @@ def test_logical_word_too_large_for_numpy_is_a_size_cap_error(tmp_path, source):
     path.write_text(f"aux\t{LOGICAL_TYPE}\t{source}\n")
     with pytest.raises(SizeCapError, match="entry 'aux': .* 400000000000000000000 entries"):
         load_lexicon(path, SpaceAssignment({"n": 10**10, "s": 2}))
+
+
+@pytest.mark.parametrize("source", ["logical:does", "logical:not:neg.tns"])
+def test_logical_word_over_the_size_cap_is_refused_before_it_is_built(tmp_path, source):
+    # d_n = d_s = 57 gives 10,556,001 entries, just over DEFAULT_SIZE_CAP: an 84 MB tensor
+    write_matrix(tmp_path / "neg.tns", np.eye(57)[::-1])
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"aux\t{LOGICAL_TYPE}\t{source}\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="^entry 'aux': .* 10556001 entries .* the cap of 10000000$"):
+            load_lexicon(path, SpaceAssignment({"n": 57, "s": 57}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    if source != "logical:does":  # a negation of the wrong shape still fails its own check first
+        write_matrix(tmp_path / "neg.tns", np.eye(2))
+        with pytest.raises(ShapeError, match="negation matrix must be 57x57"):
+            load_lexicon(path, SpaceAssignment({"n": 57, "s": 57}))
 
 
 def test_non_utf8_lexicon_is_a_parse_error(tmp_path):

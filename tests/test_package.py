@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -35,6 +36,19 @@ def test_grammar_layer_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", GRAMMAR_ONLY], capture_output=True, text=True,
                           timeout=60, check=True)
     assert json.loads(proc.stdout) == []
+
+
+def test_isolated_import_loads_only_the_grammar_layer():
+    # no site hook or environment preloads anything (-I -S); -I ignores PYTHONDONTWRITEBYTECODE,
+    # so -B keeps the import from writing __pycache__ into the source tree
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import gramflow; print(*sorted(set(sys.modules) - before))")
+    src = os.path.dirname(os.path.dirname(gramflow.__file__))
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    # operator and its C half serve errors' integer check
+    assert proc.stdout.split() == ["_operator", "gramflow", "gramflow.errors", "gramflow.pregroup",
+                                   "operator"]
 
 
 def test_every_public_name_is_its_submodules_object():

@@ -2,10 +2,12 @@ import copy
 import gc
 import pickle
 import random
+import re
 import subprocess
 import sys
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -33,6 +35,7 @@ from oracles import (
     bracket_diagram,
     oracle_exists,
     oracle_witnesses,
+    parse_type_by_regex,
     reduces_by_rewriting,
     simples,
     validate_by_pairs,
@@ -90,6 +93,50 @@ def test_parse_rejects_malformed_token(bad):
     with pytest.raises(ParseError) as err:
         parse_type(bad)
     assert bad.split()[0] in str(err.value)
+
+
+# ASCII letters, digits, marks and separators, every character str.split() and re's \s
+# split on below U+0100 and two above it, and look-alikes of letters, digits and spaces
+TYPE_TEXT = st.text(st.sampled_from([*"nsx_09^lr. \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\xa0\u2000\u3000\u200b",
+                                     *"\u00e9\u0131\u212a\u0663\u00b2\x00"]), max_size=16)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(TYPE_TEXT)
+def test_parse_type_matches_the_regex_rule(text):
+    want = parse_outcome(parse_type_by_regex, text)
+    event("parses" if isinstance(want, tuple) else "malformed")
+    assert parse_outcome(lambda t: simples(parse_type(t)), text) == want
+
+
+@pytest.mark.parametrize("args, message", [
+    (("n", 0.5), "simple type order z is 0.5, not an integer"),
+    (("n", "1"), "simple type order z is '1', not an integer"),
+    (("n", None), "simple type order z is None, not an integer"),
+    (("n", True), "simple type order z is True, not an integer"),
+    ((1, 0), "simple type base is 1, not a str"),
+])
+def test_simple_type_refuses_wrong_typed_fields(args, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        SimpleType(*args)
+
+
+def test_simple_type_stores_an_integer_order_as_int():
+    t = SimpleType("n", np.int64(-2))
+    assert type(t.z) is int and t == SimpleType("n", -2) and str(t) == "n^ll"
+
+
+@pytest.mark.parametrize("text", [None, b"n", 3])
+def test_parse_type_refuses_text_that_is_not_a_str(text):
+    with pytest.raises(ArgumentError, match=f"^type text is {re.escape(repr(text))}, not a str$"):
+        parse_type(text)
 
 
 def test_parse_str_round_trip():
