@@ -76,8 +76,8 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _fmt_vector(vec, digits=6):
-    return "[" + ", ".join(f"{float(x):.{digits}g}" for x in np.asarray(vec).ravel()) + "]"
+def _fmt_vector(vec):
+    return "[" + ", ".join(f"{float(x):.6g}" for x in np.asarray(vec).ravel()) + "]"
 
 
 def cmd_space_build(args):
@@ -177,27 +177,18 @@ def build_parser():
     add_json(p_build)
     p_build.set_defaults(func=cmd_space_build)
 
-    def add_common(p):
+    for name, help_text, positionals, command in (
+            ("parse", "grammar-check a sentence", ["sentence"], cmd_parse),
+            ("meaning", "compute a sentence meaning vector", ["sentence"], cmd_meaning),
+            ("compare", "cosine between two sentence meanings", ["sentence1", "sentence2"], cmd_compare)):
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
         p.add_argument("--lexicon", required=True)
         p.add_argument("--model", help="vector space model file for vector-sourced entries")
         p.add_argument("--dims", help="base:dim[,base:dim...] space dimensions")
         add_json(p)
-
-    p_parse = sub.add_parser("parse", help="grammar-check a sentence")
-    p_parse.add_argument("sentence")
-    add_common(p_parse)
-    p_parse.set_defaults(func=cmd_parse)
-
-    p_meaning = sub.add_parser("meaning", help="compute a sentence meaning vector")
-    p_meaning.add_argument("sentence")
-    add_common(p_meaning)
-    p_meaning.set_defaults(func=cmd_meaning)
-
-    p_compare = sub.add_parser("compare", help="cosine between two sentence meanings")
-    p_compare.add_argument("sentence1")
-    p_compare.add_argument("sentence2")
-    add_common(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
+        p.set_defaults(func=command)
 
     p_demo = sub.add_parser("demo", help="built-in demonstrations")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)

@@ -46,8 +46,8 @@ class CorpusError(GramflowError):
     """The corpus cannot support the requested operation (empty, too small)."""
 
 
-def integer(what: str, value) -> int:
-    """``value`` as an ``int``; :class:`ArgumentError` unless it is an integer.
+def integer(what: str, value, minimum: int | None = None) -> int:
+    """``value`` as an ``int``; :class:`ArgumentError` unless it is an integer of at least ``minimum``.
 
     Any type with ``__index__`` passes, numpy integers included, but not ``bool``.
     """
@@ -57,12 +57,11 @@ def integer(what: str, value) -> int:
         number = None
     if number is None or isinstance(value, bool):
         raise ArgumentError(f"{what} is {value!r}, not an integer")
+    if minimum is not None and number < minimum:
+        raise ArgumentError(f"{what} must be >= {minimum}, got {number}")
     return number
 
 
 def positive_int(what: str, value) -> int:
     """``value`` as an ``int``; :class:`ArgumentError` unless it is an integer of at least 1."""
-    number = integer(what, value)
-    if number < 1:
-        raise ArgumentError(f"{what} must be >= 1, got {number}")
-    return number
+    return integer(what, value, 1)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParseError, ShapeError, SizeCapError, UnknownWordError
 from .pregroup import parse_type
 from .semantics import DEFAULT_SIZE_CAP, WordMeaning, choi_embed
-from .tensors import SpaceAssignment, read_tensor, shape_of
+from .tensors import SpaceAssignment, _read_text, read_tensor, shape_of
 
 __all__ = [
     "Lexicon",
@@ -109,7 +109,7 @@ def make_logical_not(space: SpaceAssignment, negation) -> WordMeaning:
 def _resolve(word, src, space, base_dir):
     """The tensor of an entry whose source is not ``vector``."""
     def resolve_path(rel):
-        path = os.path.join(base_dir, rel) if base_dir else rel
+        path = os.path.join(base_dir, rel)
         if not os.path.exists(path):
             raise ParseError(f"entry {word!r}: referenced file {path!r} does not exist")
         return path
@@ -139,11 +139,7 @@ def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
     type ``LOGICAL_TYPE``.  Relative file references are resolved against the
     lexicon file's directory.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    text = _read_text(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     vectors = None if model is None else model.vectors
     # (type, shape) by type text: a file repeats a few type texts over many lines

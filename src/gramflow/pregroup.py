@@ -64,6 +64,27 @@ class _Value:
     __delattr__ = __setattr__
 
 
+def _tuple(what, values):
+    """``values`` as a tuple; :class:`ArgumentError` unless it is iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ArgumentError(f"{what} is {values!r}, not an iterable") from None
+
+
+def _integers(what, values):
+    """``values`` as a tuple of ``int``s, each checked by :func:`integer` unless an ``int``."""
+    return tuple(v if v.__class__ is int else integer(f"{what} entry", v) for v in _tuple(what, values))
+
+
+def _link(link):
+    """``link`` as a pair of ``int``s; :class:`ArgumentError` unless it is a pair of integers."""
+    pair = _integers("diagram link", link)
+    if len(pair) != 2:
+        raise ArgumentError(f"diagram link {pair} is not a pair")
+    return pair
+
+
 class SimpleType(_Value):
     """A basic type, given by its name, together with its adjoint order z.
 
@@ -122,6 +143,8 @@ class PregroupType(_Value):
     """An ordered sequence of simple types; the empty sequence is the unit.
 
     Concatenation via ``+`` is associative and the empty type is its unit.
+    Any iterable of :class:`SimpleType` is stored as a tuple; any other
+    element raises :class:`ArgumentError`.
 
     >>> tv = parse_type("n^r s n^l")
     >>> print(parse_type("n") + tv + parse_type("n"))
@@ -131,6 +154,11 @@ class PregroupType(_Value):
     __slots__ = __match_args__ = ("simples",)
 
     def __init__(self, simples: tuple[SimpleType, ...] = ()):
+        if simples.__class__ is not tuple:
+            simples = _tuple("pregroup type", simples)
+        for t in simples:
+            if not isinstance(t, SimpleType):
+                raise ArgumentError(f"pregroup type element is {t!r}, not a SimpleType")
         object.__setattr__(self, "simples", simples)
 
     def _fields(self):
@@ -181,14 +209,17 @@ class ReductionDiagram(_Value):
     positions i and j of the reduced sequence; ``through`` lists the
     positions covered by no cup, in order.  Links never cross and are fully
     nested: everything strictly under a cup is itself cancelled under it.
+    A length that is not an integer of at least 0, a link that is not a pair
+    of integers or a through wire that is not an integer raises
+    :class:`ArgumentError`; :func:`validate_diagram` checks the structure.
     """
 
     __slots__ = __match_args__ = ("length", "links", "through")
 
     def __init__(self, length: int, links: tuple[tuple[int, int], ...], through: tuple[int, ...]):
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "links", tuple(sorted(map(tuple, links))))
-        object.__setattr__(self, "through", tuple(through))
+        object.__setattr__(self, "length", integer("diagram length", length, 0))
+        object.__setattr__(self, "links", tuple(sorted(map(_link, _tuple("diagram link list", links)))))
+        object.__setattr__(self, "through", _integers("diagram through list", through))
 
     def _fields(self):
         return self.length, self.links, self.through

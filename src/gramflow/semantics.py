@@ -190,13 +190,18 @@ class _Network:
         entries = math.prod(shape)
         self.steps.append(ContractionStep(op, a, b, axes, shape, entries, entries * summed))
 
-    def trace(self, slot, p):
-        """Close the cup whose right end is ``p``; both its ends are in ``slot``."""
+    def close(self, p):
+        """Close the cup whose right end is ``p``: a trace when one slot holds both
+        ends, else a merge of the slot holding its left end with the one holding ``p``."""
         q = self.partner[p]
-        ax = self.axes[slot]
+        a, b = self.where[q], self.where[p]
+        if a != b:
+            self.merge(a, b)
+            return
+        ax = self.axes[a]
         del self.where[p], self.where[q]
         kept = [r for r in ax if r != p and r != q]
-        self._record("trace", slot, -1, (ax.index(q), ax.index(p)), kept, self.dims[p])
+        self._record("trace", a, -1, (ax.index(q), ax.index(p)), kept, self.dims[p])
 
     def merge(self, a, b):
         """Close every cup between slots ``a`` and ``b``; the result replaces ``a``."""
@@ -219,30 +224,21 @@ class _Network:
         self._record("dot", a, b, (tuple(ia), tuple(ib)), [p for p in ax_a if p not in gone] + kept_b, summed)
 
 
-def _left_to_right(net, spans):
-    # at each cup's right end: a trace when its left end is already in this
-    # word's tensor, else a merge with the tensor holding it, the last built
-    for w, (lo, hi) in enumerate(spans):
-        cur = w
-        for p in range(lo, hi):
-            q = net.partner[p]
-            if 0 <= q < p and p in net.where:
-                s = net.where[q]
-                if s == cur:
-                    net.trace(cur, p)
-                else:
-                    net.merge(s, cur)
-                    cur = s
+def _left_to_right(net):
+    # each cup closed when its right end is read (Preller's linear processing),
+    # unless a merge for an earlier cup has closed it already
+    for p, q in enumerate(net.partner):
+        if 0 <= q < p and p in net.where:
+            net.close(p)
 
 
-def _smallest_first(net, spans):
+def _smallest_first(net):
     # every cup inside a word first, then always the connected pair with the
     # smallest result, ties leftmost; stale heap entries fail the version check
-    for w, (lo, hi) in enumerate(spans):
-        for p in range(lo, hi):
-            if lo <= net.partner[p] < p:
-                net.trace(w, p)
-    version = [0] * len(spans)
+    for p, q in enumerate(net.partner):
+        if 0 <= q < p and net.where[q] == net.where[p]:
+            net.close(p)
+    version = [0] * len(net.axes)
     heap = []
 
     def push(s):
@@ -257,7 +253,7 @@ def _smallest_first(net, spans):
             lo, hi = min(s, t), max(s, t)
             heapq.heappush(heap, (size * net.size(t) // (d * d), lo, hi, version[lo], version[hi]))
 
-    for s in range(len(spans)):
+    for s in range(len(net.axes)):
         push(s)
     while heap:
         _, lo, hi, v_lo, v_hi = heapq.heappop(heap)
@@ -308,7 +304,7 @@ def contraction_plan(types, diagram, space) -> ContractionPlan:
     plans = []
     for order in (_left_to_right, _smallest_first):
         net = _Network(spans, partner, dims)
-        order(net, spans)
+        order(net)
         result, perm = _fold(net, diagram.through)
         plans.append(ContractionPlan(shapes, tuple(net.steps), result, perm))
     walk, smallest = plans

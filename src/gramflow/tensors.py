@@ -87,43 +87,41 @@ def cup(d: int) -> np.ndarray:
     return np.eye(positive_int("dimension", d))
 
 
-def _uncommented(lines):
-    """``(line number, line)`` for each of ``lines`` that is not a ``#`` comment."""
-    return [(ln, line) for ln, line in enumerate(lines, start=1)
-            if not line.lstrip().startswith("#")]
+def _read_text(path) -> str:
+    """The file's text, read in text mode; ``ParseError`` for bytes that are not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_tensor(path) -> np.ndarray:
     """Read the whitespace tensor format.
 
     Line 1 holds the space-separated dimensions (empty for a rank-0 tensor),
-    later lines hold the row-major values; ``#`` lines are comments.  Lines
-    end at ``\\n``, ``\\r\\n`` or ``\\r``, as in text mode.  Text that is not
-    UTF-8, a negative dimension, a shape numpy cannot hold and ``nan`` or
-    infinite values raise ``ParseError``.
+    later lines hold the row-major values; ``#`` lines are comments.  The
+    file is read in text mode, so lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r``.  Text that is not UTF-8, a negative dimension, a shape numpy
+    cannot hold and ``nan`` or infinite values raise ``ParseError``.
     """
-    try:
-        # bytes decoded in one step, and lines ended below as text mode would
-        # end them, without an io.TextIOWrapper per file
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    all_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not all_lines[-1]:  # the text after the last line end is a line only when not empty
-        all_lines.pop()
-    # a file without "#" has no comment line to drop
-    lines = [line for _, line in _uncommented(all_lines)] if "#" in text else all_lines
+    text = _read_text(path)
+    # (line number, line); the text after the last line end is a line only when not empty
+    lines = list(enumerate(text.split("\n"), start=1))
+    if not lines[-1][1]:
+        lines.pop()
+    if "#" in text:  # a file without "#" has no comment line to drop
+        lines = [(ln, line) for ln, line in lines if not line.lstrip().startswith("#")]
     if not lines:
         raise ParseError(f"{path}: empty tensor file")
-    header = lines[0].split()
+    head = lines[0][1]
     try:
-        shape = tuple(int(tok) for tok in header)
+        shape = tuple(int(tok) for tok in head.split())
     except ValueError:
-        raise ParseError(f"{path}: bad dimension line {lines[0]!r}") from None
+        raise ParseError(f"{path}: bad dimension line {head!r}") from None
     if min(shape, default=0) < 0:
-        raise ParseError(f"{path}: negative dimension in {lines[0]!r}")
-    tokens = " ".join(lines[1:]).split()
+        raise ParseError(f"{path}: negative dimension in {head!r}")
+    tokens = " ".join([line for _, line in lines[1:]]).split()
     try:
         # parses each text exactly as float() does, in one call
         values = np.array(tokens, dtype=float)
@@ -135,7 +133,7 @@ def read_tensor(path) -> np.ndarray:
     finite = np.isfinite(values)
     if not finite.all():
         first = rest = int(np.argmin(finite))
-        for ln, line in _uncommented(all_lines)[1:]:
+        for ln, line in lines[1:]:
             rest -= len(line.split())
             if rest < 0:
                 raise ParseError(f"{path}:{ln}: non-finite tensor value {tokens[first]!r}")

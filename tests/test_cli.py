@@ -352,6 +352,29 @@ def test_demo_snake_dimension_bounds():
     assert run_cli("demo", "snake", "-d", "65").returncode == 2
 
 
+# ------------------------------------------------------------------- usage
+
+SENTENCE_OPTIONS = "[-h] --lexicon LEXICON [--model MODEL] [--dims DIMS] [--json]"
+
+
+@pytest.mark.parametrize("command, usage", [
+    ([], "gramflow [-h] [--json] {space,parse,meaning,compare,demo} ..."),
+    (["parse"], f"gramflow parse {SENTENCE_OPTIONS} sentence"),
+    (["meaning"], f"gramflow meaning {SENTENCE_OPTIONS} sentence"),
+    (["compare"], f"gramflow compare {SENTENCE_OPTIONS} sentence1 sentence2"),
+    (["space", "build"],
+     "gramflow space build [-h] -k BASIS_SIZE [--window WINDOW] [--stop STOP] --out OUT [--json] "
+     "corpus [corpus ...]"),
+    (["demo", "snake"], "gramflow demo snake [-h] [-d DIMENSION] [--json]"),
+])
+def test_each_command_declares_its_arguments_in_order(command, usage, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "500")  # one usage line, however wide the terminal
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"usage: {usage}"
+
+
 # ------------------------------------------------------------- determinism
 
 def test_each_call_reads_its_files_again(tmp_path, capsys):

@@ -153,6 +153,32 @@ def test_logical_word_too_large_for_numpy_is_a_size_cap_error(tmp_path, source):
         load_lexicon(path, SpaceAssignment({"n": 10**10, "s": 2}))
 
 
+@pytest.mark.parametrize("word, dims", [
+    ("does", {"n": 10**10, "s": 2}),
+    ("does", {"n": 2, "s": 10**10}),
+    ("not", {"n": 10**10, "s": 2}),
+    # no negation matrix can be 10**10 x 10**10 (numpy refuses the shape), so the widest
+    # sentence space a negation can have: a 10**9 x 10**9 zero-stride view
+    ("not", {"n": 2, "s": 10**9}),
+])
+def test_uncapped_logical_word_numpy_cannot_allocate_is_a_size_cap_error(word, dims):
+    # make_logical_* have no cap: numpy refuses the shape, and nothing is allocated
+    space = SpaceAssignment(dims)
+    ds = dims["s"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=f"^logical:{word} needs d_n\\^2\\*d_s\\^2 = "
+                                               f"{dims['n'] ** 2 * ds ** 2} entries .* numpy can allocate$"):
+            if word == "does":
+                make_logical_does(space)
+            else:
+                make_logical_not(space, np.broadcast_to(0.0, (ds, ds)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("source", ["logical:does", "logical:not:neg.tns"])
 def test_logical_word_over_the_size_cap_is_refused_before_it_is_built(tmp_path, source):
     # d_n = d_s = 57 gives 10,556,001 entries, just over DEFAULT_SIZE_CAP: an 84 MB tensor

@@ -133,6 +133,41 @@ def test_simple_type_stores_an_integer_order_as_int():
     assert type(t.z) is int and t == SimpleType("n", -2) and str(t) == "n^ll"
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: reduce(PregroupType(("n",)), parse_type("n")),
+     "pregroup type element is 'n', not a SimpleType"),
+    (lambda: PregroupType("n n"), "pregroup type element is 'n', not a SimpleType"),
+    (lambda: PregroupType(5), "pregroup type is 5, not an iterable"),
+    (lambda: validate_diagram(parse_type("n n^r"), ReductionDiagram(2.0, [(0, 1)], [])),
+     "diagram length is 2.0, not an integer"),
+    (lambda: ReductionDiagram(True, [], []), "diagram length is True, not an integer"),
+    (lambda: ReductionDiagram(-1, [], []), "diagram length must be >= 0, got -1"),
+    (lambda: ReductionDiagram(2, None, []), "diagram link list is None, not an iterable"),
+    (lambda: ascii_diagram(parse_type("n n^r"), ReductionDiagram(2, [(0, 1, 2)], [])),
+     "diagram link (0, 1, 2) is not a pair"),
+    (lambda: ReductionDiagram(2, [0, 1], []), "diagram link is 0, not an iterable"),
+    (lambda: ReductionDiagram(2, [(0, 1.0)], []), "diagram link entry is 1.0, not an integer"),
+    (lambda: validate_diagram(parse_type("n n^r s"), ReductionDiagram(3, [(0, 1)], [2.0])),
+     "diagram through list entry is 2.0, not an integer"),
+    (lambda: ReductionDiagram(3, [(0, 1)], None), "diagram through list is None, not an iterable"),
+])
+def test_pregroup_type_and_diagram_refuse_wrong_typed_fields(call, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_pregroup_type_and_diagram_store_any_iterable_of_their_fields_as_tuples():
+    n = SimpleType("n")
+    t = PregroupType([n])
+    assert t == PregroupType((n,)) and hash(t) == hash(PregroupType((n,))) and type(t.simples) is tuple
+    d = ReductionDiagram(np.int64(3), [[np.int8(0), np.int64(1)]], iter([np.int32(2)]))
+    assert d == ReductionDiagram(3, ((0, 1),), (2,))
+    assert type(d.length) is int and {type(p) for p in (*d.links[0], *d.through)} == {int}
+    # structure is still validate_diagram's to check
+    with pytest.raises(DiagramError, match="out of range"):
+        validate_diagram(parse_type("n n^r"), ReductionDiagram(2, [(1, 0)], []))
+
+
 @pytest.mark.parametrize("text", [None, b"n", 3])
 def test_parse_type_refuses_text_that_is_not_a_str(text):
     with pytest.raises(ArgumentError, match=f"^type text is {re.escape(repr(text))}, not a str$"):
