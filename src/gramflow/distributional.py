@@ -317,7 +317,7 @@ def load_model(path) -> VectorSpaceModel:
 
 
 def _read_model(fh, path) -> VectorSpaceModel:
-    header = fh.readline()
+    header = fh.readline().removeprefix("\ufeff")
     if not header.startswith("#basis"):
         raise ParseError(f"{path}: missing '#basis' header line")
     try:

@@ -165,6 +165,8 @@ class PregroupType(_Value):
         return (self.simples,)
 
     def __add__(self, other: "PregroupType") -> "PregroupType":
+        if not isinstance(other, PregroupType):
+            return NotImplemented
         return PregroupType(self.simples + other.simples)
 
     def __len__(self):
@@ -286,10 +288,12 @@ def _witness_links(seq, target):
     is the left end of a cup to an appended adjoint (the yank of a cup and
     a cap), and such cups are dropped from the links.  No cup may start at
     an appended position, or the unit would reduce to ``n^r n`` by expansion.
-    ``canc[i][j]`` says [i, j) of ``ext`` cancels completely: i cups with
-    some k in (i, j) such that [i+1, k) and [k+1, j) cancel.  Each position
-    tries its partners nearest first and an appended one lies rightmost, so
-    witnesses come in the lexicographic order of sorted link lists.
+    ``partners[i]`` lists each k > i at odd distance whose wire cancels with
+    i's, nearest first.  ``canc[i][j]`` says [i, j) of ``ext`` cancels
+    completely: i cups with some partner k < j such that [i+1, k) and
+    [k+1, j) cancel.  Each position tries its partners nearest first and an
+    appended one lies rightmost, so witnesses come in the lexicographic
+    order of sorted link lists.
     """
     n = len(seq)
     ext = seq + tuple(map(right_adjoint, reversed(target)))
@@ -300,16 +304,23 @@ def _witness_links(seq, target):
         sums[t.base] = sums.get(t.base, 0) + (-1 if t.z & 1 else 1)
     if any(sums.values()):
         return
+    # no cup starts at an appended position, so only the first n have partners
+    partners = [[k for k in range(i + 1, size, 2) if contracts(ext[i], ext[k])] for i in range(n)]
     canc = [[i == j for j in range(size + 1)] for i in range(size + 1)]
+
+    def closer(i, k, j):  # the first partner of i in (k, j) whose cup leaves both sides cancelling
+        inner = canc[i + 1]
+        for m in partners[i]:
+            if m >= j:
+                break
+            if m > k and inner[m] and canc[m + 1][j]:
+                return m
+        return 0
+
     for span in range(2, size + 1, 2):
         # intervals starting at an appended position stay False
         for i in range(min(size - span + 1, n)):
-            j = i + span
-            ti = ext[i]
-            canc[i][j] = any(
-                contracts(ti, ext[k]) and canc[i + 1][k] and canc[k + 1][j]
-                for k in range(i + 1, j, 2)
-            )
+            canc[i][i + span] = closer(i, i, i + span) > 0
     if not canc[0][size]:
         return
     # depth first over one stack of cups (i, k, j), j ending i's interval
@@ -320,8 +331,7 @@ def _witness_links(seq, target):
             yield (tuple((a, b) for a, b, _ in path if b < n),
                    tuple(a for a, b, _ in path if b >= n))
         else:  # the next partner of i after k; canc makes every one complete
-            k = next((m for m in range(k + 2, j, 2) if contracts(ext[i], ext[m])
-                      and canc[i + 1][m] and canc[m + 1][j]), 0)
+            k = closer(i, k, j)
             if k:
                 path.append((i, k, j))
                 after[k] = j  # the interval that resumes past closer k ends at j

@@ -88,10 +88,10 @@ def cup(d: int) -> np.ndarray:
 
 
 def _read_text(path) -> str:
-    """The file's text, read in text mode; ``ParseError`` for bytes that are not UTF-8."""
+    """The file's text, less one leading byte-order mark; ``ParseError`` unless it is UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 

@@ -314,7 +314,7 @@ def model_by_lines(path):
     ``float`` rejects, or the first non-finite coordinate.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops one leading byte-order mark
             header = fh.readline()
             if not header.startswith("#basis"):
                 raise ParseError(f"{path}: missing '#basis' header line")
@@ -359,7 +359,7 @@ def tensor_by_floats(path):
     ``nan`` or infinite value with the line it sits on.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops one leading byte-order mark
             lines = [line.rstrip("\n") for line in fh]  # ended by text mode's line ends only
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -410,7 +410,7 @@ def lexicon_by_lines(path, space, model=None):
     """
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops one leading byte-order mark
             lines = list(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -276,6 +276,14 @@ def test_model_file_hygiene(tmp_path, text, message):
         load_model(path)
 
 
+def test_model_file_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"\xef\xbb\xbf#basis a b\nw 2 0.5 0.25\n")
+    model = load_model(path)
+    assert model.basis.words == ("a", "b") and model.counts == {"w": 2}
+    assert model.vectors["w"].tolist() == [0.5, 0.25]
+
+
 def test_model_file_rejects_non_utf8(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"#basis a\nw\xe9 1 0.5\n")

@@ -206,6 +206,15 @@ def test_non_utf8_lexicon_is_a_parse_error(tmp_path):
         load_lexicon(path, SA22)
 
 
+def test_lexicon_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "lex.tsv"
+    (tmp_path / "n.tns").write_bytes(b"\xef\xbb\xbf2\n1 0\n")
+    path.write_bytes(b"\xef\xbb\xbfalice\tn\ttensor:n.tns\n")
+    lex = load_lexicon(path, SA22)
+    assert lex.words() == ["alice"]
+    assert lex.bind("alice").tensor.tolist() == [1.0, 0.0]
+
+
 def test_each_type_text_is_parsed_once(tmp_path, monkeypatch):
     # logical words build their own type, so this lexicon has none
     write_matrix(tmp_path / "m.tns", [[1.0, 0.0], [0.0, 1.0]])

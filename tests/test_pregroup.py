@@ -168,6 +168,12 @@ def test_pregroup_type_and_diagram_store_any_iterable_of_their_fields_as_tuples(
         validate_diagram(parse_type("n n^r"), ReductionDiagram(2, [(1, 0)], []))
 
 
+@pytest.mark.parametrize("other", [5, (SimpleType("s"),)])
+def test_pregroup_type_adds_only_a_pregroup_type(other):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        parse_type("n") + other
+
+
 @pytest.mark.parametrize("text", [None, b"n", 3])
 def test_parse_type_refuses_text_that_is_not_a_str(text):
     with pytest.raises(ArgumentError, match=f"^type text is {re.escape(repr(text))}, not a str$"):
@@ -353,13 +359,13 @@ def test_enumerate_respects_limit_and_reduce_is_first():
     assert reduce(seq, target) == all_of_them[0]
 
 
-# 250 nested and 250 sibling cups under a recursion limit of 200: the witness
-# search must not recurse once per cup
+# 300 nested and 300 sibling cups (601 wires) under a recursion limit of 200:
+# the witness search must not recurse once per cup
 DEEP_CUPS = """
 import sys
 from gramflow import enumerate_reductions, parse_type, reduce
 sys.setrecursionlimit(200)
-cups, sent = 250, parse_type("s")
+cups, sent = 300, parse_type("s")
 for text, links in [
     ("n " * cups + "n^r " * cups + "s", tuple((i, 2 * cups - 1 - i) for i in range(cups))),
     ("n n^r " * cups + "s", tuple((2 * i, 2 * i + 1) for i in range(cups))),
@@ -567,6 +573,42 @@ def test_enumeration_matches_oracle_witness_sets():
         if mine:
             reached.add(len(target))
     assert reached == {0, 1, 2, 3}
+
+
+# two bases, adjoint orders -2..2: a pair (t, t^r) takes t's order from -2..1
+SIMPLE = st.builds(SimpleType, st.sampled_from([N, S]), st.integers(-2, 2))
+
+
+@st.composite
+def sequences_and_targets(draw):
+    """Up to 8 simple types and a target of 0-3: random, or the target with pairs inserted."""
+    target = draw(st.lists(SIMPLE, max_size=3))
+    if draw(st.booleans()):
+        return PregroupType(draw(st.lists(SIMPLE, max_size=8))), PregroupType(target)
+    seq = list(target)
+    for _ in range(draw(st.integers(0, (8 - len(target)) // 2))):
+        t = SimpleType(draw(st.sampled_from([N, S])), draw(st.integers(-2, 1)))
+        at = draw(st.integers(0, len(seq)))
+        seq[at:at] = [t, right_adjoint(t)]
+    return PregroupType(seq), PregroupType(target)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(sequences_and_targets())
+def test_enumeration_matches_oracle_over_iterated_adjoints(case):
+    seq, target = case
+    mine = enumerate_reductions(seq, target, 10_000)
+    assert [d.links for d in mine] == oracle_witnesses(simples(seq), simples(target))
+    event(f"witnesses: {min(len(mine), 2)}")
+
+
+def test_long_planted_non_reducing_sequence_does_not_reduce():
+    # balanced, so the table is filled; the planted s^r has no partner to cancel with
+    cups = 299
+    seq = parse_type("n " * cups + "s^r " + "n^r " * cups + "s s")
+    assert len(seq) == 601
+    assert reduce(seq, SENT) is None
+    assert reduce(parse_type("n " * cups + "n^r " * cups + "s"), SENT) is not None
 
 
 @pytest.mark.parametrize("seq, target", [

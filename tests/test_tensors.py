@@ -198,6 +198,15 @@ def test_tensor_file_lines_end_only_at_line_ends(tmp_path, text):
     assert read_tensor(path).tolist() == [1.0, 0.0]
 
 
+def test_tensor_file_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "t.tns"
+    path.write_bytes(b"\xef\xbb\xbf2\n1 2\n")
+    assert read_tensor(path).tolist() == [1.0, 2.0]
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf2\n1 2\n")  # a second mark is text
+    with pytest.raises(ParseError, match=r"t\.tns: bad dimension line '\\ufeff2'$"):
+        read_tensor(path)
+
+
 def test_tensor_file_rejects_non_utf8_text(tmp_path):
     path = tmp_path / "t.tns"
     path.write_bytes("2\n1.0 caf\u00e9\n".encode("latin-1"))
