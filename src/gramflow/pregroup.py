@@ -79,6 +79,8 @@ def _integers(what, values):
 
 def _link(link):
     """``link`` as a pair of ``int``s; :class:`ArgumentError` unless it is a pair of integers."""
+    if link.__class__ is tuple and len(link) == 2 and link[0].__class__ is link[1].__class__ is int:
+        return link
     pair = _integers("diagram link", link)
     if len(pair) != 2:
         raise ArgumentError(f"diagram link {pair} is not a pair")
@@ -184,6 +186,11 @@ class PregroupType(_Value):
         return " ".join(str(t) for t in self.simples)
 
 
+def _pregroup(value) -> PregroupType:
+    """``value`` as a :class:`PregroupType`, whose constructor checks it when it is not one."""
+    return value if isinstance(value, PregroupType) else PregroupType(value)
+
+
 def parse_type(text: str) -> PregroupType:
     """Parse type notation: simple types separated by whitespace or ``.``.
 
@@ -241,7 +248,14 @@ def validate_diagram(
     first violation found: bad lengths, a position used twice, crossing or
     non-nested links, a link whose endpoint types do not cancel, or (when
     ``target`` is given) surviving wires that do not spell the target.
+    A ``seq`` or ``target`` that is not a :class:`PregroupType` is made one,
+    and a ``diagram`` that is not a :class:`ReductionDiagram` raises
+    :class:`ArgumentError`.
     """
+    seq = _pregroup(seq)
+    target = None if target is None else _pregroup(target)
+    if not isinstance(diagram, ReductionDiagram):
+        raise ArgumentError(f"diagram is {diagram!r}, not a ReductionDiagram")
     n = diagram.length
     if n != len(seq):
         raise DiagramError(f"diagram length {n} != sequence length {len(seq)}")
@@ -273,7 +287,7 @@ def validate_diagram(
         raise DiagramError(f"through {diagram.through} != unlinked positions {tuple(through)}")
     if target is not None:
         survivors = tuple(seq[p] for p in diagram.through)
-        if survivors != tuple(target):
+        if survivors != target.simples:
             raise DiagramError(
                 f"surviving wires {' '.join(map(str, survivors))!r} do not equal "
                 f"target {str(target)!r}"
@@ -298,15 +312,30 @@ def _witness_links(seq, target):
     n = len(seq)
     ext = seq + tuple(map(right_adjoint, reversed(target)))
     size = len(ext)
-    # a cup joins (b, z)(b, z+1), adding (-1)^z + (-1)^(z+1) = 0 to b's sum
-    sums: dict[str, int] = {}
+    # a cup joins (b, z)(b, z+1), adding (-1)^z + (-1)^(z+1) = 0 to b's signed
+    # count, so [i, j) can cancel only where every base's prefix count is the
+    # same at i and j.  level[p] packs the counts over [0, p) into one integer,
+    # each base's count times its own power of 2 * size + 1, so no two sets of
+    # counts (each within -size..size) share a level.
+    radix, weight, code, level = 2 * size + 1, {}, 0, [0]
     for t in ext:
-        sums[t.base] = sums.get(t.base, 0) + (-1 if t.z & 1 else 1)
-    if any(sums.values()):
+        w = weight.setdefault(t.base, radix ** len(weight))
+        code += -w if t.z & 1 else w
+        level.append(code)
+    if level[0] != level[size]:  # the same gate on all of ext
         return
-    # no cup starts at an appended position, so only the first n have partners
-    partners = [[k for k in range(i + 1, size, 2) if contracts(ext[i], ext[k])] for i in range(n)]
-    canc = [[i == j for j in range(size + 1)] for i in range(size + 1)]
+    # (base, z, parity) -> ascending positions; i's partners are the (base, z+1)
+    # at the other parity after i, so mates[i] keeps that list and where i's begin
+    where, mates = {}, []
+    for p, t in enumerate(ext):
+        if p < n:  # no cup starts at an appended position
+            found = where.setdefault((t.base, t.z + 1, ~p & 1), [])
+            mates.append((found, len(found)))
+        where.setdefault((t.base, t.z, p & 1), []).append(p)
+    partners = [found[start:] for found, start in mates]
+    canc = [[False] * (size + 1) for _ in range(size + 1)]
+    for i, row in enumerate(canc):
+        row[i] = True
 
     def closer(i, k, j):  # the first partner of i in (k, j) whose cup leaves both sides cancelling
         inner = canc[i + 1]
@@ -320,7 +349,8 @@ def _witness_links(seq, target):
     for span in range(2, size + 1, 2):
         # intervals starting at an appended position stay False
         for i in range(min(size - span + 1, n)):
-            canc[i][i + span] = closer(i, i, i + span) > 0
+            if level[i] == level[i + span]:
+                canc[i][i + span] = closer(i, i, i + span) > 0
     if not canc[0][size]:
         return
     # depth first over one stack of cups (i, k, j), j ending i's interval
@@ -368,10 +398,13 @@ def enumerate_reductions(
     """List all distinct witnesses (up to ``limit``) in canonical order.
 
     The first element, when any exist, is exactly ``reduce(seq, target)``.
+    A ``seq`` or ``target`` that is not a :class:`PregroupType` is made one,
+    so an element that is not a :class:`SimpleType` raises :class:`ArgumentError`.
     """
-    limit = positive_int("limit", limit)
+    if limit.__class__ is not int or limit < 1:
+        limit = positive_int("limit", limit)
     diagrams = []
-    for links, through in _witness_links(tuple(seq), tuple(target)):
+    for links, through in _witness_links(_pregroup(seq).simples, _pregroup(target).simples):
         diagrams.append(ReductionDiagram(len(seq), links, through))
         if len(diagrams) == limit:
             break

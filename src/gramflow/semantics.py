@@ -75,6 +75,14 @@ def _shape_error(word: WordMeaning, expected: tuple[int, ...]) -> ShapeError:
     )
 
 
+def _check_diagram_and_space(diagram, space) -> None:
+    """:class:`ArgumentError` unless ``diagram`` is a diagram and ``space`` a space assignment."""
+    if not isinstance(diagram, ReductionDiagram):
+        raise ArgumentError(f"diagram is {diagram!r}, not a ReductionDiagram")
+    if not isinstance(space, SpaceAssignment):
+        raise ArgumentError(f"space is {space!r}, not a SpaceAssignment")
+
+
 def _wire_dims(seq: PregroupType, diagram: ReductionDiagram, space: SpaceAssignment) -> list[int]:
     """Check the diagram against the wire sequence; return each wire's dimension."""
     if len(seq) != diagram.length:
@@ -101,6 +109,7 @@ def meaning_naive(words, diagram, space, size_cap: int = DEFAULT_SIZE_CAP) -> np
     Intended as a desk-scale oracle: refuses, before allocating anything,
     a map of more than ``size_cap`` entries (the word product is no larger).
     """
+    _check_diagram_and_space(diagram, space)
     words = list(words)
     for w in words:
         expected = shape_of(w.type, space)
@@ -287,11 +296,15 @@ def contraction_plan(types, diagram, space) -> ContractionPlan:
 
     ``types`` is a tuple with one :class:`PregroupType` per word.  Raises what
     :func:`meaning` raises for anything but the tensors themselves:
-    ``SpaceError`` for a base with no dimension, ``ShapeError`` for a diagram
-    that does not fit the words, and ``SizeCapError`` when some step would
-    hold more entries than both ``DEFAULT_SIZE_CAP`` and the largest word
-    tensor.  Results are cached, keyed by all three arguments.
+    ``ArgumentError`` for a diagram that is not a :class:`ReductionDiagram`
+    (such as the ``None`` of a failed ``reduce``) or a space that is not a
+    :class:`SpaceAssignment`, ``SpaceError`` for a base with no dimension,
+    ``ShapeError`` for a diagram that does not fit the words, and
+    ``SizeCapError`` when some step would hold more entries than both
+    ``DEFAULT_SIZE_CAP`` and the largest word tensor.  Results are cached,
+    keyed by all three arguments.
     """
+    _check_diagram_and_space(diagram, space)
     shapes = tuple(shape_of(t, space) for t in types)
     dims = _wire_dims(PregroupType(tuple(s for t in types for s in t)), diagram, space)
     partner = [-1] * len(dims)
@@ -344,6 +357,7 @@ def meaning(words, diagram, space) -> np.ndarray:
     >>> np.array_equal(vec, hates.tensor[0, :, 1])
     True
     """
+    _check_diagram_and_space(diagram, space)  # before the cache hashes them
     words = list(words)
     plan = contraction_plan(tuple(w.type for w in words), diagram, space)
     slots = []

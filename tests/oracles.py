@@ -203,6 +203,34 @@ def oracle_exists(types, target):
     return go(tuple(range(len(types))), 0)
 
 
+def exists_by_intervals(types, target):
+    """Existence of a witness by a plain O(n^3) interval table, for inputs past 8 wires.
+
+    ``full[i][j]``: [i, j) cancels completely, its first position cupping
+    some k with [i+1, k) and [k+1, j) cancelling.  ``ends[p][m]``: [p, n)
+    reduces to ``target[m:]``, its first position either surviving as
+    ``target[m]`` or cupping some k with [p+1, k) cancelling.  Every pair of
+    positions is tried; nothing is skipped by parity or type counts.
+    """
+    types = tuple(types)
+    target = tuple(target)
+    n, t_len = len(types), len(target)
+    full = [[i == j for j in range(n + 1)] for i in range(n + 1)]
+    for span in range(1, n + 1):
+        for i in range(n - span + 1):
+            j = i + span
+            full[i][j] = any(cancels(types[i], types[k]) and full[i + 1][k] and full[k + 1][j]
+                             for k in range(i + 1, j))
+    ends = [[False] * (t_len + 1) for _ in range(n + 1)]
+    ends[n][t_len] = True
+    for p in reversed(range(n)):
+        for m in range(t_len + 1):
+            ends[p][m] = (m < t_len and types[p] == target[m] and ends[p + 1][m + 1]) or any(
+                cancels(types[p], types[k]) and full[p + 1][k] and ends[k + 1][m]
+                for k in range(p + 1, n))
+    return ends[0][0]
+
+
 def reduces_by_rewriting(types, target):
     """Existence decided by breadth-first search over pair deletions.
 

@@ -20,11 +20,14 @@ from gramflow import (
     ReductionDiagram,
     SimpleType,
     SpaceAssignment,
+    WordMeaning,
     ascii_diagram,
     contracts,
     enumerate_reductions,
     is_sentence,
     left_adjoint,
+    meaning,
+    meaning_naive,
     parse_type,
     reduce,
     right_adjoint,
@@ -33,6 +36,7 @@ from gramflow import (
 from oracles import (
     ascii_by_recursion,
     bracket_diagram,
+    exists_by_intervals,
     oracle_exists,
     oracle_witnesses,
     parse_type_by_regex,
@@ -45,6 +49,7 @@ N = "n"
 S = "s"
 SENT = parse_type("s")
 ALPHABET = [SimpleType(b, z) for b in (N, S) for z in (-1, 0, 1)]
+NOUN = WordMeaning("alice", parse_type("n"), np.array([1.0, 0.0]))
 
 
 def random_type(rng, length):
@@ -150,6 +155,18 @@ def test_simple_type_stores_an_integer_order_as_int():
     (lambda: validate_diagram(parse_type("n n^r s"), ReductionDiagram(3, [(0, 1)], [2.0])),
      "diagram through list entry is 2.0, not an integer"),
     (lambda: ReductionDiagram(3, [(0, 1)], None), "diagram through list is None, not an iterable"),
+    (lambda: reduce(parse_type("n n^r s"), "s"), "pregroup type element is 's', not a SimpleType"),
+    (lambda: enumerate_reductions("n n^r s", SENT, 2), "pregroup type element is 'n', not a SimpleType"),
+    (lambda: is_sentence("n n^r s"), "pregroup type element is 'n', not a SimpleType"),
+    (lambda: validate_diagram(parse_type("n n^r s"), ReductionDiagram(3, [(0, 1)], [2]), "s"),
+     "pregroup type element is 's', not a SimpleType"),
+    (lambda: validate_diagram(parse_type("n"), None), "diagram is None, not a ReductionDiagram"),
+    (lambda: meaning([NOUN], reduce(parse_type("n"), SENT), SpaceAssignment({"n": 2})),
+     "diagram is None, not a ReductionDiagram"),
+    (lambda: meaning([NOUN], reduce(parse_type("n"), parse_type("n")), {"n": 2}),
+     "space is {'n': 2}, not a SpaceAssignment"),
+    (lambda: meaning_naive([NOUN], reduce(parse_type("n"), parse_type("n")), None),
+     "space is None, not a SpaceAssignment"),
 ])
 def test_pregroup_type_and_diagram_refuse_wrong_typed_fields(call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
@@ -575,8 +592,19 @@ def test_enumeration_matches_oracle_witness_sets():
     assert reached == {0, 1, 2, 3}
 
 
-# two bases, adjoint orders -2..2: a pair (t, t^r) takes t's order from -2..1
-SIMPLE = st.builds(SimpleType, st.sampled_from([N, S]), st.integers(-2, 2))
+# three bases, adjoint orders -2..2: a pair (t, t^r) takes t's order from -2..1
+BASES = st.sampled_from([N, S, "p"])
+SIMPLE = st.builds(SimpleType, BASES, st.integers(-2, 2))
+PAIRED = st.builds(SimpleType, BASES, st.integers(-2, 1))
+
+
+def insert_pairs(draw, seq, pairs):
+    """The list ``seq`` with ``pairs`` drawn pairs (t, t^r) inserted at drawn places."""
+    for _ in range(pairs):
+        t = draw(PAIRED)
+        at = draw(st.integers(0, len(seq)))
+        seq[at:at] = [t, right_adjoint(t)]
+    return seq
 
 
 @st.composite
@@ -585,11 +613,7 @@ def sequences_and_targets(draw):
     target = draw(st.lists(SIMPLE, max_size=3))
     if draw(st.booleans()):
         return PregroupType(draw(st.lists(SIMPLE, max_size=8))), PregroupType(target)
-    seq = list(target)
-    for _ in range(draw(st.integers(0, (8 - len(target)) // 2))):
-        t = SimpleType(draw(st.sampled_from([N, S])), draw(st.integers(-2, 1)))
-        at = draw(st.integers(0, len(seq)))
-        seq[at:at] = [t, right_adjoint(t)]
+    seq = insert_pairs(draw, list(target), draw(st.integers(0, (8 - len(target)) // 2)))
     return PregroupType(seq), PregroupType(target)
 
 
@@ -600,6 +624,36 @@ def test_enumeration_matches_oracle_over_iterated_adjoints(case):
     mine = enumerate_reductions(seq, target, 10_000)
     assert [d.links for d in mine] == oracle_witnesses(simples(seq), simples(target))
     event(f"witnesses: {min(len(mine), 2)}")
+
+
+@st.composite
+def long_sequences_and_targets(draw):
+    """A target of 0-3 with up to 18 pairs inserted, and perhaps one planted pair: up to 41 types.
+
+    The planted pair is some t^r and, somewhere after it, t: together they
+    leave every base's count unchanged, but they cancel only if other wires
+    take both of them.
+    """
+    target = draw(st.lists(SIMPLE, max_size=3))
+    seq = insert_pairs(draw, list(target), draw(st.integers(0, 18)))
+    if draw(st.booleans()):
+        t = draw(PAIRED)
+        at = draw(st.integers(0, len(seq)))
+        seq.insert(draw(st.integers(at, len(seq))), t)
+        seq.insert(at, right_adjoint(t))
+    return PregroupType(seq), PregroupType(target)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(long_sequences_and_targets())
+def test_reduce_matches_the_interval_oracle_past_eight_wires(case):
+    seq, target = case
+    diagram = reduce(seq, target)
+    assert (diagram is not None) == exists_by_intervals(simples(seq), simples(target))
+    if diagram is not None:
+        validate_diagram(seq, diagram, target)
+    event("reduces" if diagram is not None else "does not reduce")
+    event(f"wires: {len(seq) // 10 * 10}-{len(seq) // 10 * 10 + 9}")
 
 
 def test_long_planted_non_reducing_sequence_does_not_reduce():
