@@ -17,7 +17,8 @@ import sys
 
 import numpy as np
 
-from .distributional import build_basis, build_model, load_corpus, load_model, save_model, tokenize
+from .distributional import (DEFAULT_WINDOW, build_basis, build_model, load_corpus, load_model, save_model,
+                             tokenize)
 from .errors import GramflowError
 from .lexicon import load_lexicon
 from .pregroup import PregroupType, ascii_diagram, parse_type, reduce as reduce_type
@@ -84,8 +85,7 @@ def cmd_space_build(args):
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise GramflowError("corpus is empty")
-    basis = build_basis(corpus, args.basis_size, stop=set(tokenize(args.stop or "")))
-    basis = type(basis)(basis.words, window=args.window)
+    basis = build_basis(corpus, args.basis_size, stop=set(tokenize(args.stop or "")), window=args.window)
     model = build_model(corpus, basis)
     save_model(model, args.out)
     payload = {"basis_size": len(basis.words), "vocabulary_size": len(model.vectors), "out": args.out}
@@ -170,7 +170,7 @@ def build_parser():
     p_build = space_sub.add_parser("build", help="build a model from corpus files")
     p_build.add_argument("corpus", nargs="+", help="UTF-8 text files, blank-line separated documents")
     p_build.add_argument("-k", "--basis-size", type=int, required=True)
-    p_build.add_argument("--window", type=int, default=2)
+    p_build.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p_build.add_argument("--stop", help="stop words excluded from the basis, lowercased and split at "
                          "non-alphanumeric characters like corpus text, e.g. 'the,a'")
     p_build.add_argument("--out", required=True, help="model file to write")

@@ -18,8 +18,9 @@ distinct coordinate of the block takes one ``repr``.  Model files
 round-trip bit-exactly: :func:`load_model` then :func:`save_model` writes
 the same bytes.  Errors: :class:`ArgumentError` (also a ``ValueError``)
 for a basis size or window that is not an integer or is below 1, repeated
-basis words, or a model :func:`save_model` could not load back,
-:class:`CorpusError` for a corpus file that is not UTF-8 or too small for
+basis words, a model :func:`save_model` could not load back, an argument
+of the wrong class, a ``str`` where a sequence is expected, or a path that
+is not a ``str``, ``bytes`` or ``os.PathLike``, :class:`CorpusError` for a corpus file that is not UTF-8 or too small for
 the basis, and :class:`ParseError`, with ``file:line``, for a malformed
 model file.
 """
@@ -27,6 +28,7 @@ model file.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from collections import Counter
@@ -37,6 +39,7 @@ import numpy as np
 from .errors import (ArgumentError, CorpusError, DegenerateVectorError, ParseError, UnknownWordError,
                      positive_int)
 from .semantics import cosine
+from .tensors import _file_path, _instance
 
 __all__ = [
     "BasisSpec",
@@ -58,6 +61,13 @@ _WORD = re.compile(r"[^\W_]+", re.UNICODE)
 _SEPARATORS = "".join(c if c.isalnum() else " " for c in map(chr, range(128)))
 
 DEFAULT_WINDOW = 2
+
+
+def _sequence(what: str, value, of: str):
+    """``value``; :class:`ArgumentError` for a ``str``, ``bytes`` or path, which iterating would split."""
+    if isinstance(value, (str, bytes, os.PathLike)):
+        raise ArgumentError(f"{what} is {value!r}, not a sequence of {of}")
+    return value
 
 
 def tokenize(text: str) -> list[str]:
@@ -95,7 +105,7 @@ def load_corpus(paths) -> list[list[str]]:
     :class:`CorpusError` for a file that is not UTF-8 text.
     """
     corpus, same = [], {}
-    for path in paths:
+    for path in [_file_path(p) for p in _sequence("corpus paths", paths, "paths")]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -113,7 +123,7 @@ class BasisSpec:
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
-        object.__setattr__(self, "words", tuple(self.words))
+        object.__setattr__(self, "words", tuple(_sequence("basis words", self.words, "words")))
         if len(set(self.words)) != len(self.words):
             word, _ = Counter(self.words).most_common(1)[0]
             raise ArgumentError(f"basis words must be distinct, {word!r} repeats")
@@ -129,16 +139,16 @@ class VectorSpaceModel:
     counts: dict = field(default_factory=dict)
 
 
-def build_basis(corpus, k: int, stop=None) -> BasisSpec:
-    """Choose the k most frequent tokens (ties lexicographic) as the basis."""
+def build_basis(corpus, k: int, stop=None, window: int = DEFAULT_WINDOW) -> BasisSpec:
+    """Choose the k most frequent tokens (ties lexicographic) as the basis, with this window."""
     k = positive_int("basis size", k)
-    freq = Counter(chain.from_iterable(corpus))
+    freq = Counter(chain.from_iterable(_sequence("corpus", corpus, "documents")))
     for tok in stop or ():
         freq.pop(tok, None)
     if len(freq) < k:
         raise CorpusError(f"need {k} distinct eligible tokens, corpus has {len(freq)}")
     ranked = sorted(freq.items(), key=lambda item: (-item[1], item[0]))
-    return BasisSpec(tuple(tok for tok, _ in ranked[:k]))
+    return BasisSpec(tuple(tok for tok, _ in ranked[:k]), window)
 
 
 def _relative_counts(corpus, basis: BasisSpec):
@@ -154,6 +164,8 @@ def _relative_counts(corpus, basis: BasisSpec):
     basis coordinate only counts distinct occurrences.  Pair counts are
     accumulated as floats, which is exact below 2**53.
     """
+    _sequence("corpus", corpus, "documents")
+    _instance("basis", basis, BasisSpec)
     rows = {tok: r for r, tok in enumerate(dict.fromkeys(chain.from_iterable(corpus)))}
     lengths = np.fromiter(map(len, corpus), dtype=np.int64)
     ids = np.fromiter(map(rows.__getitem__, chain.from_iterable(corpus)), np.int32,
@@ -205,6 +217,7 @@ def similarity(model: VectorSpaceModel, w1: str, w2: str) -> float:
     construction) are exactly parallel, so that case returns 1.0 without
     going through the rounding of an explicit norm computation.
     """
+    _instance("model", model, VectorSpaceModel)
     for w in (w1, w2):
         if w not in model.vectors:
             raise UnknownWordError(f"word {w!r} is not in the model")
@@ -238,6 +251,7 @@ def save_model(model: VectorSpaceModel, path) -> None:
     vector whose count is missing or not an integer, a vector whose
     length is not the basis size, or a non-finite coordinate.
     """
+    _instance("model", model, VectorSpaceModel)
     k = len(model.basis.words)
     for tok in (*model.basis.words, *model.vectors):
         if tok.split() != [tok]:
@@ -246,19 +260,17 @@ def save_model(model: VectorSpaceModel, path) -> None:
             tok.encode("utf-8")
         except UnicodeEncodeError:
             raise ArgumentError(f"token {tok!r} does not encode as UTF-8") from None
-    with np.errstate(over="ignore"):
-        for tok, vec in model.vectors.items():
-            count = model.counts.get(tok)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ArgumentError(f"count of {tok!r} is {count!r}, not an integer")
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (k,):
-                raise ArgumentError(f"vector of {tok!r} has shape {vec.shape}, the basis has {k} words")
-            # finite unless a coordinate is not, or it overflows; only then look at each
-            if not math.isfinite(vec.dot(vec)) and not np.isfinite(vec).all():
-                raise ArgumentError(f"vector of {tok!r} has a non-finite coordinate")
+    for tok, vec in model.vectors.items():
+        count = model.counts.get(tok)
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ArgumentError(f"count of {tok!r} is {count!r}, not an integer")
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (k,):
+            raise ArgumentError(f"vector of {tok!r} has shape {vec.shape}, the basis has {k} words")
+        if not np.isfinite(vec).all():
+            raise ArgumentError(f"vector of {tok!r} has a non-finite coordinate")
     tokens = sorted(model.vectors)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_file_path(path), "w", encoding="utf-8") as fh:
         fh.write("#basis " + " ".join(model.basis.words) + "\n")
         for start in range(0, len(tokens), _BLOCK_LINES):
             block = tokens[start:start + _BLOCK_LINES]
@@ -310,7 +322,7 @@ def load_model(path) -> VectorSpaceModel:
     wrong number of fields, a bad or non-finite number, or a repeated token.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_file_path(path), "r", encoding="utf-8") as fh:
             return _read_model(fh, path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParseError, ShapeError, SizeCapError, UnknownWordError
 from .pregroup import parse_type
 from .semantics import DEFAULT_SIZE_CAP, WordMeaning, choi_embed
-from .tensors import SpaceAssignment, _read_text, read_tensor, shape_of
+from .tensors import SpaceAssignment, _instance, _read_text, read_tensor, shape_of
 
 __all__ = [
     "Lexicon",
@@ -58,11 +58,12 @@ class Lexicon:
 
 
 def _routing(word, space, negation=None, cap=None):
-    """R[i, a, b, j] = delta_ij * negation[a, b] (the identity for ``does``) as a logical word.
+    """R[i, a, b, j] = delta_ij * negation[a, b] (the identity for ``does``): a logical word's tensor.
 
     With a ``cap``, a tensor of more than ``cap`` entries raises
     :class:`SizeCapError` before any of it is built.
     """
+    _instance("space", space, SpaceAssignment)
     dn, ds = space.dim("n"), space.dim("s")
     mat = None
     if word == "not":
@@ -80,7 +81,7 @@ def _routing(word, space, negation=None, cap=None):
         tensor = np.einsum("ij,ab->iabj", np.eye(dn), np.eye(ds) if mat is None else mat)
     except (ValueError, MemoryError):  # numpy refused the shape or the allocation
         raise SizeCapError(f"{need} numpy can allocate") from None
-    return WordMeaning(word, parse_type(LOGICAL_TYPE), tensor)
+    return tensor
 
 
 def make_logical_does(space: SpaceAssignment) -> WordMeaning:
@@ -91,7 +92,7 @@ def make_logical_does(space: SpaceAssignment) -> WordMeaning:
     D[i, a, b, j] = delta_ij * delta_ab.  Composed with any verb phrase it
     leaves the sentence meaning unchanged.
     """
-    return _routing("does", space)
+    return WordMeaning("does", parse_type(LOGICAL_TYPE), _routing("does", space))
 
 
 def make_logical_not(space: SpaceAssignment, negation) -> WordMeaning:
@@ -103,7 +104,7 @@ def make_logical_not(space: SpaceAssignment, negation) -> WordMeaning:
     "subject does not verb-phrase" is ``negation`` applied to the meaning
     of "subject verb-phrase", and chained negations compose their matrices.
     """
-    return _routing("not", space, negation)
+    return WordMeaning("not", parse_type(LOGICAL_TYPE), _routing("not", space, negation))
 
 
 def _resolve(word, src, space, base_dir):
@@ -121,10 +122,10 @@ def _resolve(word, src, space, base_dir):
     # capped as meaning caps its intermediates: d_n = d_s = 300 would be 65 GB
     try:
         if src == "logical:does":
-            return _routing("does", space, cap=DEFAULT_SIZE_CAP).tensor
+            return _routing("does", space, cap=DEFAULT_SIZE_CAP)
         if src.startswith("logical:not:"):
             negation = read_tensor(resolve_path(src[len("logical:not:"):]))
-            return _routing("not", space, negation, DEFAULT_SIZE_CAP).tensor
+            return _routing("not", space, negation, DEFAULT_SIZE_CAP)
     except SizeCapError as exc:
         raise SizeCapError(f"entry {word!r}: {exc}") from None
     raise ParseError(f"entry {word!r}: unknown source spec {src!r}")
@@ -139,8 +140,9 @@ def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
     type ``LOGICAL_TYPE``.  Relative file references are resolved against the
     lexicon file's directory.
     """
+    _instance("space", space, SpaceAssignment)
     text = _read_text(path)
-    base_dir = os.path.dirname(os.path.abspath(path))
+    base_dir = os.path.dirname(os.path.abspath(os.fsdecode(path)))  # bytes would not join a str entry
     vectors = None if model is None else model.vectors
     # (type, shape) by type text: a file repeats a few type texts over many lines
     entries, types = {}, {}

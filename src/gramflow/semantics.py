@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import (ArgumentError, DegenerateVectorError, DiagramError, ShapeError, SizeCapError,
                      positive_int)
-from .pregroup import PregroupType, ReductionDiagram, validate_diagram
-from .tensors import SpaceAssignment, cup, kron_all, shape_of
+from .pregroup import PregroupType, ReductionDiagram, _pregroup, validate_diagram
+from .tensors import SpaceAssignment, _instance, cup, kron_all, shape_of
 
 __all__ = [
     "WordMeaning",
@@ -59,31 +59,19 @@ DEFAULT_SIZE_CAP = 10_000_000
 _TINY_NORM, _HUGE_NORM = 1e-150, 1e150
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WordMeaning:
-    """A word, its grammatical type, and a tensor shaped like that type."""
+    """A word, its grammatical type, and a tensor shaped like that type; equal only to itself."""
 
     word: str
     type: PregroupType
     tensor: np.ndarray
 
-
-def _shape_error(word: WordMeaning, expected: tuple[int, ...]) -> ShapeError:
-    return ShapeError(
-        f"word {word.word!r}: tensor shape {list(np.shape(word.tensor))} does not match "
-        f"type {str(word.type)!r} with shape {list(expected)}"
-    )
+    def __post_init__(self):
+        object.__setattr__(self, "type", _pregroup(self.type))
 
 
-def _check_diagram_and_space(diagram, space) -> None:
-    """:class:`ArgumentError` unless ``diagram`` is a diagram and ``space`` a space assignment."""
-    if not isinstance(diagram, ReductionDiagram):
-        raise ArgumentError(f"diagram is {diagram!r}, not a ReductionDiagram")
-    if not isinstance(space, SpaceAssignment):
-        raise ArgumentError(f"space is {space!r}, not a SpaceAssignment")
-
-
-def _wire_dims(seq: PregroupType, diagram: ReductionDiagram, space: SpaceAssignment) -> list[int]:
+def _wire_dims(seq: PregroupType, diagram: ReductionDiagram, space: SpaceAssignment) -> tuple[int, ...]:
     """Check the diagram against the wire sequence; return each wire's dimension."""
     if len(seq) != diagram.length:
         raise ShapeError(
@@ -94,7 +82,24 @@ def _wire_dims(seq: PregroupType, diagram: ReductionDiagram, space: SpaceAssignm
         validate_diagram(seq, diagram)
     except DiagramError as exc:
         raise ShapeError(f"diagram does not fit the word sequence: {exc}") from None
-    return [space.dim(t.base) for t in seq]
+    return shape_of(seq, space)
+
+
+def _word_tensors(words, shapes) -> list[np.ndarray]:
+    """Each word's tensor as a float array; :class:`ShapeError` unless it has its shape in ``shapes``."""
+    tensors = []
+    for w, shape in zip(words, shapes):
+        try:
+            tensor = np.asarray(w.tensor, dtype=float)
+        except (TypeError, ValueError):
+            raise ShapeError(f"word {w.word!r}: tensor is not an array of numbers") from None
+        if tensor.shape != shape:
+            raise ShapeError(
+                f"word {w.word!r}: tensor shape {list(tensor.shape)} does not match "
+                f"type {str(w.type)!r} with shape {list(shape)}"
+            )
+        tensors.append(tensor)
+    return tensors
 
 
 def meaning_naive(words, diagram, space, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
@@ -106,36 +111,34 @@ def meaning_naive(words, diagram, space, size_cap: int = DEFAULT_SIZE_CAP) -> np
     a delta factor per cup and a delta factor routing each surviving wire to
     its output.  Step 3 contracts the map with the word product.
 
-    Intended as a desk-scale oracle: refuses, before allocating anything,
-    a map of more than ``size_cap`` entries (the word product is no larger).
+    Checks the space, the diagram, the size cap and then the tensors, as
+    :func:`meaning` does.  Intended as a desk-scale oracle: refuses, before
+    allocating more than the words, a map of more than ``size_cap`` entries.
     """
-    _check_diagram_and_space(diagram, space)
+    _instance("diagram", diagram, ReductionDiagram)
+    _instance("space", space, SpaceAssignment)
     words = list(words)
-    for w in words:
-        expected = shape_of(w.type, space)
-        if tuple(np.shape(w.tensor)) != expected:
-            raise _shape_error(w, expected)
+    shapes = [shape_of(w.type, space) for w in words]
     dims = _wire_dims(PregroupType(tuple(t for w in words for t in w.type)), diagram, space)
-    out_dims = [dims[p] for p in diagram.through]
+    out_dims = tuple(dims[p] for p in diagram.through)
     # an axis per wire and one per surviving wire: no array built here is larger
     entries = math.prod(out_dims) * math.prod(dims)
     if entries > size_cap:
         raise SizeCapError(f"linear map holds {entries} entries, above the cap of {size_cap}")
-    big = kron_all([w.tensor for w in words])
+    big = kron_all(_word_tensors(words, shapes))
 
-    n_out, n_in = len(out_dims), len(dims)
-    fmap = np.ones(tuple(out_dims) + tuple(dims))
-    for i, j in diagram.links:
-        shape = [1] * (n_out + n_in)
-        shape[n_out + i] = dims[i]
-        shape[n_out + j] = dims[j]
-        fmap = fmap * cup(dims[i]).reshape(shape)
-    for o, p in enumerate(diagram.through):
-        shape = [1] * (n_out + n_in)
-        shape[o] = dims[p]
-        shape[n_out + p] = dims[p]
-        fmap = fmap * cup(dims[p]).reshape(shape)
-    return np.tensordot(fmap, big, axes=(list(range(n_out, n_out + n_in)), list(range(n_in))))
+    # a delta factor per pair of map axes: each cup's two inputs, then each
+    # surviving wire's output and input
+    n_out = len(out_dims)
+    axes = out_dims + dims
+    pairs = [(n_out + i, n_out + j) for i, j in diagram.links]
+    pairs += [(o, n_out + p) for o, p in enumerate(diagram.through)]
+    fmap = np.ones(axes)
+    for a, b in pairs:
+        shape = [1] * len(axes)
+        shape[a] = shape[b] = axes[a]
+        fmap = fmap * cup(axes[a]).reshape(shape)
+    return np.tensordot(fmap, big, axes=(list(range(n_out, len(axes))), list(range(len(dims)))))
 
 
 class ContractionStep(NamedTuple):
@@ -304,7 +307,8 @@ def contraction_plan(types, diagram, space) -> ContractionPlan:
     ``DEFAULT_SIZE_CAP`` and the largest word tensor.  Results are cached,
     keyed by all three arguments.
     """
-    _check_diagram_and_space(diagram, space)
+    _instance("diagram", diagram, ReductionDiagram)
+    _instance("space", space, SpaceAssignment)
     shapes = tuple(shape_of(t, space) for t in types)
     dims = _wire_dims(PregroupType(tuple(s for t in types for s in t)), diagram, space)
     partner = [-1] * len(dims)
@@ -357,15 +361,12 @@ def meaning(words, diagram, space) -> np.ndarray:
     >>> np.array_equal(vec, hates.tensor[0, :, 1])
     True
     """
-    _check_diagram_and_space(diagram, space)  # before the cache hashes them
+    # before the cache hashes them
+    _instance("diagram", diagram, ReductionDiagram)
+    _instance("space", space, SpaceAssignment)
     words = list(words)
     plan = contraction_plan(tuple(w.type for w in words), diagram, space)
-    slots = []
-    for w, shape in zip(words, plan.shapes):
-        tensor = np.asarray(w.tensor, dtype=float)
-        if tensor.shape != shape:
-            raise _shape_error(w, shape)
-        slots.append(tensor)
+    slots = _word_tensors(words, plan.shapes)
     for step in plan.steps:
         if step.op == "dot":
             slots[step.a] = np.tensordot(slots[step.a], slots[step.b], axes=step.axes)

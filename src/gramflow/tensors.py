@@ -12,6 +12,7 @@ basis-meaningful.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import reduce as _fold
 from types import MappingProxyType
@@ -38,6 +39,8 @@ class SpaceAssignment:
     _items: tuple[tuple[str, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.dims, Mapping):
+            raise ArgumentError(f"space dimensions are {self.dims!r}, not a mapping")
         clean = {}
         for base, d in self.dims.items():
             name = str(base)
@@ -55,8 +58,15 @@ class SpaceAssignment:
             raise SpaceError(f"no dimension assigned to basic type {base!r}") from None
 
 
+def _instance(what: str, value, cls) -> None:
+    """:class:`ArgumentError` unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ArgumentError(f"{what} is {value!r}, not a {cls.__name__}")
+
+
 def shape_of(ptype: PregroupType, space: SpaceAssignment) -> tuple[int, ...]:
     """Shape of the tensor space a type lives in: one axis per simple type."""
+    _instance("space", space, SpaceAssignment)
     return tuple(space.dim(t.base) for t in ptype)
 
 
@@ -72,10 +82,7 @@ def kron(a, b) -> np.ndarray:
 
 def kron_all(tensors) -> np.ndarray:
     """Left fold of :func:`kron` over a sequence; empty product is scalar 1."""
-    tensors = list(tensors)
-    if not tensors:
-        return np.asarray(1.0)
-    return _fold(kron, (np.asarray(t, dtype=float) for t in tensors))
+    return _fold(kron, tensors, np.asarray(1.0))
 
 
 def cup(d: int) -> np.ndarray:
@@ -87,10 +94,20 @@ def cup(d: int) -> np.ndarray:
     return np.eye(positive_int("dimension", d))
 
 
+def _file_path(path):
+    """``path``; :class:`ArgumentError` unless it is a ``str``, ``bytes`` or ``os.PathLike``.
+
+    ``open`` takes an integer as a file descriptor, which it closes afterwards.
+    """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ArgumentError(f"path is {path!r}, not a str, bytes or os.PathLike")
+    return path
+
+
 def _read_text(path) -> str:
     """The file's text, less one leading byte-order mark; ``ParseError`` unless it is UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_file_path(path), "r", encoding="utf-8") as fh:
             return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -110,8 +127,7 @@ def read_tensor(path) -> np.ndarray:
     lines = list(enumerate(text.split("\n"), start=1))
     if not lines[-1][1]:
         lines.pop()
-    if "#" in text:  # a file without "#" has no comment line to drop
-        lines = [(ln, line) for ln, line in lines if not line.lstrip().startswith("#")]
+    lines = [(ln, line) for ln, line in lines if not line.lstrip().startswith("#")]
     if not lines:
         raise ParseError(f"{path}: empty tensor file")
     head = lines[0][1]
@@ -152,7 +168,7 @@ def write_tensor(tensor, path) -> None:
     arr = np.asarray(tensor, dtype=float)
     if not np.isfinite(arr).all():
         raise ArgumentError("tensor has a non-finite value")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_file_path(path), "w", encoding="utf-8") as fh:
         fh.write(" ".join(str(d) for d in arr.shape) + "\n")
         if arr.ndim == 0:
             fh.write(repr(float(arr)) + "\n")

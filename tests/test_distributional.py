@@ -93,6 +93,7 @@ def test_build_basis_stop_words_and_window_default():
     basis = build_basis([["x", "x", "y", "z"]], 2, stop={"x"})
     assert basis.words == ("y", "z")
     assert basis.window == 2
+    assert build_basis([["x", "y"]], 1, window=5) == BasisSpec(("x",), window=5)
 
 
 def test_basis_spec_validation():

@@ -87,8 +87,9 @@ def test_choi_sourced_entry(tmp_path):
     write_matrix(tmp_path / "f.tns", [[1.0, 2.0], [3.0, 4.0]])
     path = tmp_path / "lex.tsv"
     path.write_text("runs\tn^r s\tchoi:f.tns\n")
-    lex = load_lexicon(path, SA22)
-    assert np.array_equal(lex.bind("runs").tensor, choi_embed([[1.0, 2.0], [3.0, 4.0]]))
+    for each in (path, bytes(path)):  # a bytes path resolves the entry's file too
+        lex = load_lexicon(each, SA22)
+        assert np.array_equal(lex.bind("runs").tensor, choi_embed([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def test_shape_mismatch_rejected_at_load(tmp_path):

@@ -4,13 +4,17 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gramflow
-from gramflow import (ArgumentError, BasisSpec, SpaceAssignment, build_basis, cup,
-                      enumerate_reductions, is_separable, parse_type, snake_check)
+from gramflow import (ArgumentError, BasisSpec, SpaceAssignment, VectorSpaceModel, build_basis, build_model,
+                      cup, enumerate_reductions, is_separable, load_lexicon, load_model, make_logical_does,
+                      make_logical_not, meaning_vector, parse_type, read_tensor, save_model, shape_of,
+                      similarity, snake_check, write_tensor)
+from gramflow.distributional import load_corpus
 
 NUMPY_MODULES = ["numpy", "gramflow.semantics", "gramflow.tensors", "gramflow.lexicon",
                  "gramflow.distributional"]
@@ -127,3 +131,44 @@ def test_every_integer_argument_is_checked_alike(site, bad):
 @pytest.mark.parametrize("site", INTEGER_SITES)
 def test_every_integer_argument_takes_a_numpy_integer(site):
     INTEGER_SITES[site][1](np.int64(1))
+
+
+SPACE = SpaceAssignment({"n": 2, "s": 2})
+MODEL = VectorSpaceModel(BasisSpec(("a",)), {"a": np.ones(1)}, {"a": 1})
+# an argument of the wrong class, or a str where a sequence is expected: (call, message)
+ARGUMENT_SITES = {
+    "load_corpus str": (lambda: load_corpus("aaa"), "corpus paths is 'aaa', not a sequence of paths"),
+    "build_basis str": (lambda: build_basis("hello world", 3),
+                        "corpus is 'hello world', not a sequence of documents"),
+    "BasisSpec str": (lambda: BasisSpec("the"), "basis words is 'the', not a sequence of words"),
+    "shape_of": (lambda: shape_of(SEQ, {"n": 2}), "space is {'n': 2}, not a SpaceAssignment"),
+    "load_lexicon space": (lambda: load_lexicon("lexicon.tsv", {"n": 2}),
+                           "space is {'n': 2}, not a SpaceAssignment"),
+    "make_logical_does": (lambda: make_logical_does({"n": 2}), "space is {'n': 2}, not a SpaceAssignment"),
+    "make_logical_not": (lambda: make_logical_not({"n": 2}, np.eye(2)),
+                         "space is {'n': 2}, not a SpaceAssignment"),
+    "SpaceAssignment": (lambda: SpaceAssignment(None), "space dimensions are None, not a mapping"),
+    "build_model": (lambda: build_model([["a"]], ("a",)), "basis is ('a',), not a BasisSpec"),
+    "meaning_vector": (lambda: meaning_vector([["a"]], "a", ("a",)), "basis is ('a',), not a BasisSpec"),
+    "similarity": (lambda: similarity({}, "a", "a"), "model is {}, not a VectorSpaceModel"),
+    "save_model model": (lambda: save_model({}, "model.txt"), "model is {}, not a VectorSpaceModel"),
+    # open() takes an integer as a file descriptor: 1 would close standard output, 0 read standard input
+    "read_tensor fd": (lambda: read_tensor(1), "path is 1, not a str, bytes or os.PathLike"),
+    "read_tensor stdin": (lambda: read_tensor(0), "path is 0, not a str, bytes or os.PathLike"),
+    "write_tensor fd": (lambda: write_tensor(np.ones(2), 1), "path is 1, not a str, bytes or os.PathLike"),
+    "load_lexicon fd": (lambda: load_lexicon(0, SPACE), "path is 0, not a str, bytes or os.PathLike"),
+    "load_model fd": (lambda: load_model(0), "path is 0, not a str, bytes or os.PathLike"),
+    "save_model fd": (lambda: save_model(MODEL, 1), "path is 1, not a str, bytes or os.PathLike"),
+    "load_corpus fd": (lambda: load_corpus([0]), "path is 0, not a str, bytes or os.PathLike"),
+    "load_corpus path": (lambda: load_corpus(Path("a")),
+                         f"corpus paths is {Path('a')!r}, not a sequence of paths"),
+}
+
+
+@pytest.mark.parametrize("site", ARGUMENT_SITES)
+def test_wrong_class_arguments_are_argument_errors(site, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a call that got past its check would touch only tmp_path
+    call, message = ARGUMENT_SITES[site]
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call()
+    assert os.listdir(tmp_path) == []

@@ -167,6 +167,7 @@ def test_simple_type_stores_an_integer_order_as_int():
      "space is {'n': 2}, not a SpaceAssignment"),
     (lambda: meaning_naive([NOUN], reduce(parse_type("n"), parse_type("n")), None),
      "space is None, not a SpaceAssignment"),
+    (lambda: WordMeaning("alice", "n", np.ones(2)), "pregroup type element is 'n', not a SimpleType"),
 ])
 def test_pregroup_type_and_diagram_refuse_wrong_typed_fields(call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):

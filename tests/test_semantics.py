@@ -114,13 +114,37 @@ def test_size_cap_is_enforced():
         meaning_naive([word], diagram, SA22, size_cap=7)
 
 
-def test_word_tensor_shape_is_checked():
-    bad = WordMeaning("alice", parse_type("n"), np.zeros((3,)))
-    diagram = reduce(parse_type("n"), parse_type("n"))
-    with pytest.raises(ShapeError, match="alice"):
-        meaning_naive([bad], diagram, SA22)
-    with pytest.raises(ShapeError, match="alice"):
-        meaning([bad], diagram, SA22)
+def test_word_meanings_are_equal_only_to_themselves():
+    a = WordMeaning("alice", parse_type("n"), np.zeros(2))
+    b = WordMeaning("alice", parse_type("n"), np.zeros(2))
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert WordMeaning("w", [SimpleType("n")], np.zeros(2)).type == parse_type("n")
+
+
+NOUN_SEQ = parse_type("n")
+# bad inputs: (words, diagram, the ShapeError message both evaluators give)
+BAD_INPUTS = {
+    "tensor shape": ([WordMeaning("alice", NOUN_SEQ, np.zeros(3))], reduce(NOUN_SEQ, NOUN_SEQ),
+                     "word 'alice': tensor shape [3] does not match type 'n' with shape [2]"),
+    "diagram length": ([WordMeaning("alice", NOUN_SEQ, np.zeros(2))], reduce(parse_type("n n^r s"), SENT),
+                       "diagram was built for 3 wire positions, words supply 1"),
+    "non-numeric tensor": ([WordMeaning("alice", NOUN_SEQ, "xy")], reduce(NOUN_SEQ, NOUN_SEQ),
+                           "word 'alice': tensor is not an array of numbers"),
+    "ragged tensor": ([WordMeaning("alice", NOUN_SEQ, [[1.0], []])], reduce(NOUN_SEQ, NOUN_SEQ),
+                      "word 'alice': tensor is not an array of numbers"),
+    # two faults: the diagram is checked first
+    "diagram length and tensor shape": ([WordMeaning("alice", NOUN_SEQ, np.zeros(3))],
+                                        reduce(parse_type("n n^r s"), SENT),
+                                        "diagram was built for 3 wire positions, words supply 1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+@pytest.mark.parametrize("evaluate", [meaning, meaning_naive])
+def test_both_evaluators_raise_the_same_error(case, evaluate):
+    words, diagram, message = BAD_INPUTS[case]
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        evaluate(words, diagram, SA22)
 
 
 def test_diagram_length_mismatch_is_checked():
@@ -372,6 +396,28 @@ def test_negated_sentence_at_d64_builds_no_intermediate_above_d_squared():
     got = meaning(words, diagram, space)
     assert got.shape == (d,)
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+N, ADJ, TV, IV, LOGICAL = "n", "n n^l", "n^r s n^l", "n^r s", "n^r s s^l n"
+
+
+# the benchmark's sentence classes at n = s = 8: (word types, (peak, flops, steps))
+@pytest.mark.parametrize("types, cost", [
+    ([N, TV, N], (64, 576, 2)),
+    ([N, IV], (8, 64, 1)),
+    ([ADJ, N, TV, N], (64, 640, 3)),
+    ([ADJ, ADJ, N, TV, ADJ, N], (64, 768, 5)),
+    ([ADJ] * 3 + [N, TV] + [ADJ] * 2 + [N], (64, 896, 7)),
+    ([ADJ] * 3 + [N, IV], (8, 256, 4)),
+    ([N, LOGICAL, LOGICAL, TV, N], (64, 8768, 4)),
+    ([N, LOGICAL, LOGICAL, IV], (64, 8256, 3)),
+], ids=["svo", "intransitive", "adjective", "adjectives 2+1", "adjectives 3+2", "adjectives 3 intransitive",
+        "does not", "does not intransitive"])
+def test_sentence_class_plan_costs(types, cost):
+    types = tuple(map(parse_type, types))
+    diagram = reduce(PregroupType(tuple(t for w in types for t in w)), SENT)
+    plan = contraction_plan(types, diagram, SpaceAssignment({"n": 8, "s": 8}))
+    assert (plan.peak, plan.flops, len(plan.steps)) == cost
 
 
 def test_cached_plan_still_checks_tensor_shapes():

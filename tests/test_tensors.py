@@ -136,6 +136,8 @@ def test_tensor_file_round_trip(tmp_path):
         back = read_tensor(path)
         assert back.shape == arr.shape
         assert np.array_equal(back, arr)
+    write_tensor(arr, bytes(path))  # a path may be str, bytes or os.PathLike
+    assert np.array_equal(read_tensor(str(path)), arr)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
