@@ -70,6 +70,15 @@ def _sequence(what: str, value, of: str):
     return value
 
 
+def _documents_checked(corpus):
+    """The documents of ``corpus``, each checked by :func:`_sequence` as the caller's pass reaches it.
+
+    The corpus itself is checked at once: the outermost iterable of a
+    generator expression is evaluated when it is made.
+    """
+    return (_sequence("corpus document", doc, "tokens") for doc in _sequence("corpus", corpus, "documents"))
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on maximal runs of non-alphanumeric characters.
 
@@ -142,7 +151,7 @@ class VectorSpaceModel:
 def build_basis(corpus, k: int, stop=None, window: int = DEFAULT_WINDOW) -> BasisSpec:
     """Choose the k most frequent tokens (ties lexicographic) as the basis, with this window."""
     k = positive_int("basis size", k)
-    freq = Counter(chain.from_iterable(_sequence("corpus", corpus, "documents")))
+    freq = Counter(chain.from_iterable(_documents_checked(corpus)))
     for tok in stop or ():
         freq.pop(tok, None)
     if len(freq) < k:
@@ -164,9 +173,9 @@ def _relative_counts(corpus, basis: BasisSpec):
     basis coordinate only counts distinct occurrences.  Pair counts are
     accumulated as floats, which is exact below 2**53.
     """
-    _sequence("corpus", corpus, "documents")
+    documents = _documents_checked(corpus)
     _instance("basis", basis, BasisSpec)
-    rows = {tok: r for r, tok in enumerate(dict.fromkeys(chain.from_iterable(corpus)))}
+    rows = {tok: r for r, tok in enumerate(dict.fromkeys(chain.from_iterable(documents)))}
     lengths = np.fromiter(map(len, corpus), dtype=np.int64)
     ids = np.fromiter(map(rows.__getitem__, chain.from_iterable(corpus)), np.int32,
                       count=int(lengths.sum()))

@@ -138,9 +138,14 @@ def load_lexicon(path, space: SpaceAssignment, model=None) -> Lexicon:
     against the shape its type requires, so shape errors surface here and
     not in the middle of a contraction; a ``logical:`` entry must also have
     type ``LOGICAL_TYPE``.  Relative file references are resolved against the
-    lexicon file's directory.
+    lexicon file's directory.  A ``model`` that is not a
+    :class:`~gramflow.distributional.VectorSpaceModel` raises
+    :class:`ArgumentError` before the file is read.
     """
     _instance("space", space, SpaceAssignment)
+    if model is not None:  # distributional is imported only by a call that needs it
+        from .distributional import VectorSpaceModel
+        _instance("model", model, VectorSpaceModel)
     text = _read_text(path)
     base_dir = os.path.dirname(os.path.abspath(os.fsdecode(path)))  # bytes would not join a str entry
     vectors = None if model is None else model.vectors

@@ -72,16 +72,12 @@ def _tuple(what, values):
         raise ArgumentError(f"{what} is {values!r}, not an iterable") from None
 
 
-def _integers(what, values):
-    """``values`` as a tuple of ``int``s, each checked by :func:`integer` unless an ``int``."""
-    return tuple(v if v.__class__ is int else integer(f"{what} entry", v) for v in _tuple(what, values))
-
-
 def _link(link):
     """``link`` as a pair of ``int``s; :class:`ArgumentError` unless it is a pair of integers."""
     if link.__class__ is tuple and len(link) == 2 and link[0].__class__ is link[1].__class__ is int:
         return link
-    pair = _integers("diagram link", link)
+    pair = tuple(v if v.__class__ is int else integer("diagram link entry", v)
+                 for v in _tuple("diagram link", link))
     if len(pair) != 2:
         raise ArgumentError(f"diagram link {pair} is not a pair")
     return pair
@@ -212,26 +208,31 @@ def parse_type(text: str) -> PregroupType:
 
 
 class ReductionDiagram(_Value):
-    """A planar set of cups witnessing a reduction, plus the surviving wires.
+    """A planar set of cups witnessing a reduction of a sequence of ``length`` wires.
 
     ``links`` holds index pairs (i, j) with i < j, each a cup cancelling
-    positions i and j of the reduced sequence; ``through`` lists the
-    positions covered by no cup, in order.  Links never cross and are fully
-    nested: everything strictly under a cup is itself cancelled under it.
-    A length that is not an integer of at least 0, a link that is not a pair
-    of integers or a through wire that is not an integer raises
-    :class:`ArgumentError`; :func:`validate_diagram` checks the structure.
+    positions i and j of the reduced sequence; the read-only ``through``
+    lists the positions covered by no cup, in order.  Links never cross and
+    are fully nested: everything strictly under a cup is itself cancelled
+    under it.  A length that is not an integer of at least 0 or a link that
+    is not a pair of integers raises :class:`ArgumentError`;
+    :func:`validate_diagram` checks the structure.
     """
 
-    __slots__ = __match_args__ = ("length", "links", "through")
+    __slots__ = __match_args__ = ("length", "links")
 
-    def __init__(self, length: int, links: tuple[tuple[int, int], ...], through: tuple[int, ...]):
+    def __init__(self, length: int, links: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "length", integer("diagram length", length, 0))
         object.__setattr__(self, "links", tuple(sorted(map(_link, _tuple("diagram link list", links)))))
-        object.__setattr__(self, "through", _integers("diagram through list", through))
 
     def _fields(self):
-        return self.length, self.links, self.through
+        return self.length, self.links
+
+    @property
+    def through(self) -> tuple[int, ...]:
+        """The positions covered by no link, in ascending order."""
+        linked = {p for link in self.links for p in link}
+        return tuple(p for p in range(self.length) if p not in linked)
 
     def __str__(self):
         links = " ".join(f"({i},{j})" for i, j in self.links) or "none"
@@ -241,16 +242,17 @@ class ReductionDiagram(_Value):
 
 def validate_diagram(
     seq: PregroupType, diagram: ReductionDiagram, target: PregroupType | None = None
-) -> None:
+) -> list[int]:
     """Check every structural invariant of a diagram against its sequence.
 
-    Raises :class:`DiagramError` (also a ``ValueError``) describing the
-    first violation found: bad lengths, a position used twice, crossing or
-    non-nested links, a link whose endpoint types do not cancel, or (when
-    ``target`` is given) surviving wires that do not spell the target.
-    A ``seq`` or ``target`` that is not a :class:`PregroupType` is made one,
-    and a ``diagram`` that is not a :class:`ReductionDiagram` raises
-    :class:`ArgumentError`.
+    Returns each position's partner: the other end of its link, or -1 for
+    a through wire.  Raises :class:`DiagramError` (also a ``ValueError``)
+    describing the first violation found: bad lengths, a position used
+    twice, crossing or non-nested links, a link whose endpoint types do not
+    cancel, or (when ``target`` is given) surviving wires that do not spell
+    the target.  A ``seq`` or ``target`` that is not a :class:`PregroupType`
+    is made one, and a ``diagram`` that is not a :class:`ReductionDiagram`
+    raises :class:`ArgumentError`.
     """
     seq = _pregroup(seq)
     target = None if target is None else _pregroup(target)
@@ -270,32 +272,30 @@ def validate_diagram(
         partner[i], partner[j] = j, i
     # left to right, a stack of open left ends: each right end must close
     # the innermost open cup, and no unlinked position may sit under one
-    open_lefts, through = [], []
+    open_lefts = []
     for p, q in enumerate(partner):
         if q < 0:
             if open_lefts:
                 i = open_lefts[-1]
                 raise DiagramError(f"position {p} under link ({i},{partner[i]}) is not nested")
-            through.append(p)
         elif p < q:
             open_lefts.append(p)
         else:
             k = open_lefts.pop()
             if k != q:
                 raise DiagramError(f"links ({q},{p}) and ({k},{partner[k]}) cross")
-    if diagram.through != tuple(through):
-        raise DiagramError(f"through {diagram.through} != unlinked positions {tuple(through)}")
     if target is not None:
-        survivors = tuple(seq[p] for p in diagram.through)
+        survivors = tuple(seq[p] for p, q in enumerate(partner) if q < 0)
         if survivors != target.simples:
             raise DiagramError(
                 f"surviving wires {' '.join(map(str, survivors))!r} do not equal "
                 f"target {str(target)!r}"
             )
+    return partner
 
 
 def _witness_links(seq, target):
-    """Yield the ``(links, through)`` of all witnesses in canonical order.
+    """Yield the links of all witnesses in canonical order.
 
     Reducing ``seq`` to ``target`` is full cancellation of ``ext``: ``seq``
     followed by the target's right adjoints, last first.  Each through wire
@@ -357,9 +357,8 @@ def _witness_links(seq, target):
     path, after, i, j, k = [], {}, 0, size, -1
     while True:
         if i == size:
-            # path holds its cups by increasing left end, so both come out sorted
-            yield (tuple((a, b) for a, b, _ in path if b < n),
-                   tuple(a for a, b, _ in path if b >= n))
+            # path holds its cups by increasing left end, so the links come out sorted
+            yield tuple((a, b) for a, b, _ in path if b < n)
         else:  # the next partner of i after k; canc makes every one complete
             k = closer(i, k, j)
             if k:
@@ -404,8 +403,8 @@ def enumerate_reductions(
     if limit.__class__ is not int or limit < 1:
         limit = positive_int("limit", limit)
     diagrams = []
-    for links, through in _witness_links(_pregroup(seq).simples, _pregroup(target).simples):
-        diagrams.append(ReductionDiagram(len(seq), links, through))
+    for links in _witness_links(_pregroup(seq).simples, _pregroup(target).simples):
+        diagrams.append(ReductionDiagram(len(seq), links))
         if len(diagrams) == limit:
             break
     return diagrams
@@ -430,7 +429,7 @@ def ascii_diagram(seq: PregroupType, diagram: ReductionDiagram) -> str:
 
     A diagram that does not fit the sequence raises :class:`DiagramError`.
     """
-    validate_diagram(seq, diagram)
+    partner = validate_diagram(seq, diagram)
     labels = [str(t) for t in seq]
     cols = []
     offset = 0
@@ -440,19 +439,17 @@ def ascii_diagram(seq: PregroupType, diagram: ReductionDiagram) -> str:
     header = "  ".join(labels)
     # left to right, a stack holding the deepest row used under each open
     # cup (its bottom entry is the outside); a cup takes the row below that
-    lefts = {i for i, _ in diagram.links}
-    left_of = {j: i for i, j in diagram.links}
     rows, ends, below = [], [], [0]
-    for p in range(len(labels)):
-        if p in lefts:
+    for p, q in enumerate(partner):
+        if p < q:
             below.append(0)
-        elif p in left_of:
+        elif q >= 0:
             row = below.pop() + 1
             below[-1] = max(below[-1], row)
             if row > len(rows):
                 rows.append([])
                 ends.append(0)
-            a, b = cols[left_of[p]], cols[p]
+            a, b = cols[q], cols[p]
             rows[row - 1].append(" " * (a - ends[row - 1]) + "\\" + "_" * (b - a - 1) + "/")
             ends[row - 1] = b + 1
     return "\n".join([header] + ["".join(r) for r in rows])

@@ -71,18 +71,23 @@ class WordMeaning:
         object.__setattr__(self, "type", _pregroup(self.type))
 
 
-def _wire_dims(seq: PregroupType, diagram: ReductionDiagram, space: SpaceAssignment) -> tuple[int, ...]:
-    """Check the diagram against the wire sequence; return each wire's dimension."""
-    if len(seq) != diagram.length:
-        raise ShapeError(
-            f"diagram was built for {diagram.length} wire positions, "
-            f"words supply {len(seq)}"
-        )
+def _wiring(types, diagram, space):
+    """Check the diagram against words of these types, in the order :func:`meaning` documents.
+
+    Returns ``(shapes, dims, partner)``: each word's shape, each wire's
+    dimension, and each wire's partner, the other end of its cup or -1.
+    """
+    _instance("diagram", diagram, ReductionDiagram)
+    _instance("space", space, SpaceAssignment)
+    shapes = tuple(shape_of(t, space) for t in types)
+    dims = sum(shapes, ())
+    if len(dims) != diagram.length:
+        raise ShapeError(f"diagram was built for {diagram.length} wire positions, words supply {len(dims)}")
     try:
-        validate_diagram(seq, diagram)
+        partner = validate_diagram(PregroupType(tuple(s for t in types for s in t)), diagram)
     except DiagramError as exc:
         raise ShapeError(f"diagram does not fit the word sequence: {exc}") from None
-    return shape_of(seq, space)
+    return shapes, dims, partner
 
 
 def _word_tensors(words, shapes) -> list[np.ndarray]:
@@ -115,11 +120,8 @@ def meaning_naive(words, diagram, space, size_cap: int = DEFAULT_SIZE_CAP) -> np
     :func:`meaning` does.  Intended as a desk-scale oracle: refuses, before
     allocating more than the words, a map of more than ``size_cap`` entries.
     """
-    _instance("diagram", diagram, ReductionDiagram)
-    _instance("space", space, SpaceAssignment)
     words = list(words)
-    shapes = [shape_of(w.type, space) for w in words]
-    dims = _wire_dims(PregroupType(tuple(t for w in words for t in w.type)), diagram, space)
+    shapes, dims, _ = _wiring([w.type for w in words], diagram, space)
     out_dims = tuple(dims[p] for p in diagram.through)
     # an axis per wire and one per surviving wire: no array built here is larger
     entries = math.prod(out_dims) * math.prod(dims)
@@ -293,7 +295,6 @@ def _fold(net, through):
     return result, (None if perm == tuple(range(len(perm))) else perm)
 
 
-@lru_cache(maxsize=256)
 def contraction_plan(types, diagram, space) -> ContractionPlan:
     """Check and plan the evaluation of a diagram over words of these types.
 
@@ -305,15 +306,18 @@ def contraction_plan(types, diagram, space) -> ContractionPlan:
     ``ShapeError`` for a diagram that does not fit the words, and
     ``SizeCapError`` when some step would hold more entries than both
     ``DEFAULT_SIZE_CAP`` and the largest word tensor.  Results are cached,
-    keyed by all three arguments.
+    keyed by all three arguments; ``contraction_plan.cache_info()`` and
+    ``cache_clear()`` report and empty that cache.
     """
+    # before the cache hashes them
     _instance("diagram", diagram, ReductionDiagram)
     _instance("space", space, SpaceAssignment)
-    shapes = tuple(shape_of(t, space) for t in types)
-    dims = _wire_dims(PregroupType(tuple(s for t in types for s in t)), diagram, space)
-    partner = [-1] * len(dims)
-    for i, j in diagram.links:
-        partner[i], partner[j] = j, i
+    return _plan(types, diagram, space)
+
+
+@lru_cache(maxsize=256)
+def _plan(types, diagram, space) -> ContractionPlan:
+    shapes, dims, partner = _wiring(types, diagram, space)
     spans, lo = [], 0
     for t in types:
         spans.append((lo, lo + len(t)))
@@ -334,6 +338,9 @@ def contraction_plan(types, diagram, space) -> ContractionPlan:
             f"the cap of {DEFAULT_SIZE_CAP} and the largest word tensor ({largest} entries)"
         )
     return plan
+
+
+contraction_plan.cache_info, contraction_plan.cache_clear = _plan.cache_info, _plan.cache_clear
 
 
 def meaning(words, diagram, space) -> np.ndarray:
@@ -361,9 +368,6 @@ def meaning(words, diagram, space) -> np.ndarray:
     >>> np.array_equal(vec, hates.tensor[0, :, 1])
     True
     """
-    # before the cache hashes them
-    _instance("diagram", diagram, ReductionDiagram)
-    _instance("space", space, SpaceAssignment)
     words = list(words)
     plan = contraction_plan(tuple(w.type for w in words), diagram, space)
     slots = _word_tensors(words, plan.shapes)

@@ -64,15 +64,15 @@ def _nested(links):
 
 
 def bracket_diagram(word, keep_unlinked_under_cups=False):
-    """Links and unlinked positions read off a bracket word over ``(``, ``)`` and ``.``.
+    """Length and links read off a bracket word over ``(``, ``)`` and ``.``.
 
     Each ``(`` opens a cup that the matching ``)`` closes; a ``.`` or an
     unmatched ``)`` is an unlinked wire.  Cups left open at the end are
     closed there.  A ``.`` inside a cup is dropped, which keeps the diagram
     fully nested, unless ``keep_unlinked_under_cups`` is set.  Returns
-    ``(length, links, unlinked)``.
+    ``(length, links)``.
     """
-    links, unlinked, opened, n = [], [], [], 0
+    links, opened, n = [], [], 0
     for ch in word:
         if ch == "(":
             opened.append(n)
@@ -80,21 +80,19 @@ def bracket_diagram(word, keep_unlinked_under_cups=False):
             links.append((opened.pop(), n))
         elif opened and not keep_unlinked_under_cups:
             continue
-        else:
-            unlinked.append(n)
         n += 1
     while opened:
         links.append((opened.pop(), n))
         n += 1
-    return n, tuple(sorted(links)), tuple(unlinked)
+    return n, tuple(sorted(links))
 
 
-def validate_by_pairs(types, n, links, through, target=None):
+def validate_by_pairs(types, n, links, target=None):
     """Check a diagram link against link, raising ``ValueError`` like ``validate_diagram``.
 
-    ``types`` are (name, z) tuples; ``links`` and ``through`` are the
-    diagram's fields.  Every pair of links is tested for crossing and every
-    position under each link for nesting.
+    ``types`` are (name, z) tuples; ``n`` and ``links`` are the diagram's
+    fields.  Every pair of links is tested for crossing and every position
+    under each link for nesting.
     """
     if n != len(types):
         raise ValueError(f"diagram length {n} != sequence length {len(types)}")
@@ -117,9 +115,7 @@ def validate_by_pairs(types, n, links, through, target=None):
                 raise ValueError(f"position {p} under link ({i},{j}) is not nested")
         if not cancels(types[i], types[j]):
             raise ValueError(f"link ({i},{j}) joins {types[i]} and {types[j]}, which do not cancel")
-    expected_through = tuple(p for p in range(n) if p not in used)
-    if tuple(through) != expected_through:
-        raise ValueError(f"through {tuple(through)} != unlinked positions {expected_through}")
+    through = [p for p in range(n) if p not in used]
     if target is not None and tuple(types[p] for p in through) != tuple(target):
         raise ValueError(f"surviving wires do not equal target {target}")
 
@@ -257,14 +253,15 @@ def reduces_by_rewriting(types, target):
     return target in seen
 
 
-def meaning_by_loops(tensors, sizes, links, through, dims):
+def meaning_by_loops(tensors, sizes, links, dims):
     """Sentence tensor by explicit summation over every multi-index.
 
     ``tensors`` are the word arrays, ``sizes`` the number of wire positions
     each word owns, ``dims`` the per-position dimensions.  Sums the product
     of word entries over all full index assignments where every linked pair
-    agrees, accumulating into the surviving positions.
+    agrees, accumulating into the surviving positions: those in no link.
     """
+    through = [p for p in range(len(dims)) if all(p not in link for link in links)]
     out = np.zeros(tuple(dims[p] for p in through))
     offsets = np.cumsum([0] + list(sizes))[:-1]
     for idx in product(*[range(d) for d in dims]):

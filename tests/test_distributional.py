@@ -89,6 +89,11 @@ def test_build_basis_examples():
         build_basis([["a", "b", "c"]], 5)
 
 
+def test_build_basis_takes_a_generator_corpus():
+    docs = [["a", "b", "a"], ["b", "c", "b", "b"]]
+    assert build_basis((doc for doc in docs), 2) == build_basis(docs, 2) == BasisSpec(("b", "a"))
+
+
 def test_build_basis_stop_words_and_window_default():
     basis = build_basis([["x", "x", "y", "z"]], 2, stop={"x"})
     assert basis.words == ("y", "z")

@@ -15,6 +15,7 @@ from gramflow import (ArgumentError, BasisSpec, SpaceAssignment, VectorSpaceMode
                       make_logical_not, meaning_vector, parse_type, read_tensor, save_model, shape_of,
                       similarity, snake_check, write_tensor)
 from gramflow.distributional import load_corpus
+from gramflow.semantics import contraction_plan
 
 NUMPY_MODULES = ["numpy", "gramflow.semantics", "gramflow.tensors", "gramflow.lexicon",
                  "gramflow.distributional"]
@@ -34,6 +35,15 @@ assert gramflow.ascii_diagram(seq, diagram)
 print(json.dumps([name for name in {GRAMMAR_ONLY_UNLOADED!r} if name in sys.modules]))
 assert gramflow.semantics.meaning is gramflow.meaning
 """
+
+
+def test_readme_library_example_does_what_its_comments_say():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    assert str(names["diagram"]) == "links (0,1) (3,4); through 2"
+    assert np.array_equal(names["vec"], names["hates"].tensor[0, :, 1])
 
 
 def test_grammar_layer_loads_no_numpy():
@@ -140,10 +150,28 @@ ARGUMENT_SITES = {
     "load_corpus str": (lambda: load_corpus("aaa"), "corpus paths is 'aaa', not a sequence of paths"),
     "build_basis str": (lambda: build_basis("hello world", 3),
                         "corpus is 'hello world', not a sequence of documents"),
+    # a document is a sequence of tokens: iterating a str one would split it into characters
+    "build_basis str document": (lambda: build_basis([["a"], "hello world"], 1),
+                                 "corpus document is 'hello world', not a sequence of tokens"),
+    "build_basis bytes document, generator corpus": (
+        lambda: build_basis((doc for doc in [["a"], b"ab"]), 1),
+        "corpus document is b'ab', not a sequence of tokens"),
+    "build_model str document": (lambda: build_model(["hello world"], BasisSpec(("a",))),
+                                 "corpus document is 'hello world', not a sequence of tokens"),
+    "meaning_vector str document": (lambda: meaning_vector([["a"], "a b"], "a", BasisSpec(("a",))),
+                                    "corpus document is 'a b', not a sequence of tokens"),
     "BasisSpec str": (lambda: BasisSpec("the"), "basis words is 'the', not a sequence of words"),
     "shape_of": (lambda: shape_of(SEQ, {"n": 2}), "space is {'n': 2}, not a SpaceAssignment"),
     "load_lexicon space": (lambda: load_lexicon("lexicon.tsv", {"n": 2}),
                            "space is {'n': 2}, not a SpaceAssignment"),
+    # refused before the file, which does not exist, is read
+    "load_lexicon model": (lambda: load_lexicon("lexicon.tsv", SPACE, {"a": 1}),
+                           "model is {'a': 1}, not a VectorSpaceModel"),
+    # refused before the plan cache hashes the argument
+    "contraction_plan space": (lambda: contraction_plan((SEQ,), gramflow.reduce(SEQ, SEQ[:0]), {"n": 2}),
+                               "space is {'n': 2}, not a SpaceAssignment"),
+    "contraction_plan diagram": (lambda: contraction_plan((SEQ,), [(0, 1)], SPACE),
+                                 "diagram is [(0, 1)], not a ReductionDiagram"),
     "make_logical_does": (lambda: make_logical_does({"n": 2}), "space is {'n': 2}, not a SpaceAssignment"),
     "make_logical_not": (lambda: make_logical_not({"n": 2}, np.eye(2)),
                          "space is {'n': 2}, not a SpaceAssignment"),

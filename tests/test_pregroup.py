@@ -143,22 +143,19 @@ def test_simple_type_stores_an_integer_order_as_int():
      "pregroup type element is 'n', not a SimpleType"),
     (lambda: PregroupType("n n"), "pregroup type element is 'n', not a SimpleType"),
     (lambda: PregroupType(5), "pregroup type is 5, not an iterable"),
-    (lambda: validate_diagram(parse_type("n n^r"), ReductionDiagram(2.0, [(0, 1)], [])),
+    (lambda: validate_diagram(parse_type("n n^r"), ReductionDiagram(2.0, [(0, 1)])),
      "diagram length is 2.0, not an integer"),
-    (lambda: ReductionDiagram(True, [], []), "diagram length is True, not an integer"),
-    (lambda: ReductionDiagram(-1, [], []), "diagram length must be >= 0, got -1"),
-    (lambda: ReductionDiagram(2, None, []), "diagram link list is None, not an iterable"),
-    (lambda: ascii_diagram(parse_type("n n^r"), ReductionDiagram(2, [(0, 1, 2)], [])),
+    (lambda: ReductionDiagram(True, []), "diagram length is True, not an integer"),
+    (lambda: ReductionDiagram(-1, []), "diagram length must be >= 0, got -1"),
+    (lambda: ReductionDiagram(2, None), "diagram link list is None, not an iterable"),
+    (lambda: ascii_diagram(parse_type("n n^r"), ReductionDiagram(2, [(0, 1, 2)])),
      "diagram link (0, 1, 2) is not a pair"),
-    (lambda: ReductionDiagram(2, [0, 1], []), "diagram link is 0, not an iterable"),
-    (lambda: ReductionDiagram(2, [(0, 1.0)], []), "diagram link entry is 1.0, not an integer"),
-    (lambda: validate_diagram(parse_type("n n^r s"), ReductionDiagram(3, [(0, 1)], [2.0])),
-     "diagram through list entry is 2.0, not an integer"),
-    (lambda: ReductionDiagram(3, [(0, 1)], None), "diagram through list is None, not an iterable"),
+    (lambda: ReductionDiagram(2, [0, 1]), "diagram link is 0, not an iterable"),
+    (lambda: ReductionDiagram(2, [(0, 1.0)]), "diagram link entry is 1.0, not an integer"),
     (lambda: reduce(parse_type("n n^r s"), "s"), "pregroup type element is 's', not a SimpleType"),
     (lambda: enumerate_reductions("n n^r s", SENT, 2), "pregroup type element is 'n', not a SimpleType"),
     (lambda: is_sentence("n n^r s"), "pregroup type element is 'n', not a SimpleType"),
-    (lambda: validate_diagram(parse_type("n n^r s"), ReductionDiagram(3, [(0, 1)], [2]), "s"),
+    (lambda: validate_diagram(parse_type("n n^r s"), ReductionDiagram(3, [(0, 1)]), "s"),
      "pregroup type element is 's', not a SimpleType"),
     (lambda: validate_diagram(parse_type("n"), None), "diagram is None, not a ReductionDiagram"),
     (lambda: meaning([NOUN], reduce(parse_type("n"), SENT), SpaceAssignment({"n": 2})),
@@ -178,12 +175,12 @@ def test_pregroup_type_and_diagram_store_any_iterable_of_their_fields_as_tuples(
     n = SimpleType("n")
     t = PregroupType([n])
     assert t == PregroupType((n,)) and hash(t) == hash(PregroupType((n,))) and type(t.simples) is tuple
-    d = ReductionDiagram(np.int64(3), [[np.int8(0), np.int64(1)]], iter([np.int32(2)]))
-    assert d == ReductionDiagram(3, ((0, 1),), (2,))
+    d = ReductionDiagram(np.int64(3), iter([[np.int8(0), np.int64(1)]]))
+    assert d == ReductionDiagram(3, ((0, 1),)) and d.through == (2,)
     assert type(d.length) is int and {type(p) for p in (*d.links[0], *d.through)} == {int}
     # structure is still validate_diagram's to check
     with pytest.raises(DiagramError, match="out of range"):
-        validate_diagram(parse_type("n n^r"), ReductionDiagram(2, [(1, 0)], []))
+        validate_diagram(parse_type("n n^r"), ReductionDiagram(2, [(1, 0)]))
 
 
 @pytest.mark.parametrize("other", [5, (SimpleType("s"),)])
@@ -245,7 +242,7 @@ def test_a_basic_type_is_its_name():
 # ------------------------------------------------------------- value types
 
 FIELDS = {SimpleType: ("base", "z"), PregroupType: ("simples",),
-          ReductionDiagram: ("length", "links", "through")}
+          ReductionDiagram: ("length", "links")}
 PAIRS = st.tuples(st.sampled_from(["n", "s", "np", "é"]), st.integers(-3, 3))
 
 
@@ -256,7 +253,7 @@ def test_value_types_are_immutable_field_tuples(pairs, rng):
     cups = [[2 * i, 2 * i + 1] for i in range(len(pairs))]
     rng.shuffle(cups)
     for value in (simples[0], PregroupType(simples),
-                  ReductionDiagram(2 * len(cups) + 1, cups, [2 * len(cups)])):
+                  ReductionDiagram(2 * len(cups) + 1, cups)):
         cls, names = type(value), FIELDS[type(value)]
         fields = tuple(getattr(value, name) for name in names)
         assert cls(*fields) == value == cls(**dict(zip(names, fields)))
@@ -293,10 +290,10 @@ def test_simple_types_order_as_base_then_z(a, b):
 def test_value_type_defaults_and_normal_form():
     assert SimpleType("n") == SimpleType("n", 0) == SimpleType(base="n", z=0)
     assert PregroupType() == PregroupType(()) == parse_type("") and len(PregroupType()) == 0
-    d = ReductionDiagram(5, iter([[3, 4], (0, 1)]), [2])
+    d = ReductionDiagram(5, iter([[3, 4], (0, 1)]))
     assert d.links == ((0, 1), (3, 4)) and type(d.links[1]) is tuple and d.through == (2,)
-    assert d == ReductionDiagram(length=5, links=((0, 1), (3, 4)), through=(2,))
-    assert repr(d) == "ReductionDiagram(length=5, links=((0, 1), (3, 4)), through=(2,))"
+    assert d == ReductionDiagram(length=5, links=((0, 1), (3, 4)))
+    assert repr(d) == "ReductionDiagram(length=5, links=((0, 1), (3, 4)))"
     assert repr(parse_type("n^r")) == "PregroupType(simples=(SimpleType(base='n', z=1),))"
     assert SimpleType("n") != PregroupType((SimpleType("n"),))
 
@@ -432,27 +429,25 @@ def test_is_sentence_examples():
 def test_validate_rejects_crossing_links():
     seq = parse_type("n n n^r n^r")
     with pytest.raises(ValueError, match="cross|nested"):
-        validate_diagram(seq, ReductionDiagram(4, ((0, 2), (1, 3)), ()))
+        validate_diagram(seq, ReductionDiagram(4, ((0, 2), (1, 3))))
 
 
 def test_validate_rejects_unnested_interior():
     seq = parse_type("n s n^r")
     with pytest.raises(ValueError, match="nested"):
-        validate_diagram(seq, ReductionDiagram(3, ((0, 2),), (1,)))
+        validate_diagram(seq, ReductionDiagram(3, ((0, 2),)))
 
 
 def test_validate_rejects_noncancelling_link():
     seq = parse_type("n n")
     with pytest.raises(ValueError, match="cancel"):
-        validate_diagram(seq, ReductionDiagram(2, ((0, 1),), ()))
+        validate_diagram(seq, ReductionDiagram(2, ((0, 1),)))
 
 
-def test_validate_rejects_wrong_through_or_target():
+def test_validate_rejects_wrong_target():
     seq = parse_type("n n^r s")
-    with pytest.raises(ValueError, match="through"):
-        validate_diagram(seq, ReductionDiagram(3, ((0, 1),), (1,)))
     with pytest.raises(ValueError, match="target"):
-        validate_diagram(seq, ReductionDiagram(3, ((0, 1),), (2,)), parse_type("n"))
+        validate_diagram(seq, ReductionDiagram(3, ((0, 1),)), parse_type("n"))
 
 
 def test_reduce_output_always_validates():
@@ -466,37 +461,35 @@ def test_reduce_output_always_validates():
 
 
 FAULTS = [
-    ("n n^r", ((0, 2),), (), None, "out of range"),
-    ("n n^r n^r", ((0, 1), (0, 2)), (), None, "reuses"),
-    ("n n n^r n^r", ((0, 2), (1, 3)), (), None, "cross"),
-    ("n s n^r", ((0, 2),), (1,), None, "not nested"),
-    ("n n", ((0, 1),), (), None, "do not cancel"),
-    ("n n^r s", ((0, 1),), (1,), None, "through"),
-    ("n n^r s", ((0, 1),), (2,), "n", "target"),
+    ("n n^r", ((0, 2),), None, "out of range"),
+    ("n n^r n^r", ((0, 1), (0, 2)), None, "reuses"),
+    ("n n n^r n^r", ((0, 2), (1, 3)), None, "cross"),
+    ("n s n^r", ((0, 2),), None, "not nested"),
+    ("n n", ((0, 1),), None, "do not cancel"),
+    ("n n^r s", ((0, 1),), "n", "target"),
 ]
 
 
-@pytest.mark.parametrize("text, links, through, target, message", FAULTS)
-def test_validate_names_each_fault_like_the_pairwise_oracle(text, links, through, target, message):
+@pytest.mark.parametrize("text, links, target, message", FAULTS)
+def test_validate_names_each_fault_like_the_pairwise_oracle(text, links, target, message):
     seq = parse_type(text)
     target = None if target is None else parse_type(target)
     with pytest.raises(DiagramError, match=message) as raised:
-        validate_diagram(seq, ReductionDiagram(len(seq), links, through), target)
+        validate_diagram(seq, ReductionDiagram(len(seq), links), target)
     assert isinstance(raised.value, GramflowError) and isinstance(raised.value, ValueError)
     with pytest.raises(ValueError, match=message):
-        validate_by_pairs(simples(seq), len(seq), links, through,
-                          None if target is None else simples(target))
+        validate_by_pairs(simples(seq), len(seq), links, None if target is None else simples(target))
 
 
 @st.composite
 def typed_diagrams(draw, faults):
     """A bracket-word diagram over random types, each link made to cancel."""
     word = draw(st.text(alphabet="().", max_size=10))
-    n, links, through = bracket_diagram(word, keep_unlinked_under_cups=faults and draw(st.booleans()))
+    n, links = bracket_diagram(word, keep_unlinked_under_cups=faults and draw(st.booleans()))
     types = draw(st.lists(st.sampled_from(ALPHABET), min_size=n, max_size=n))
     for i, j in links:
         types[j] = right_adjoint(types[i])
-    return n, list(links), through, types
+    return n, list(links), types
 
 
 def verdict(check, *args):
@@ -507,13 +500,13 @@ def verdict(check, *args):
     return None
 
 
-MUTATIONS = ["extra link", "drop link", "move end", "cross two", "retype", "through", "length"]
+MUTATIONS = ["extra link", "drop link", "move end", "cross two", "retype", "length"]
 
 
 @settings(max_examples=600, deadline=None)
 @given(typed_diagrams(faults=True), st.lists(st.sampled_from(MUTATIONS), max_size=2), st.data())
 def test_validate_accepts_exactly_what_the_pairwise_oracle_accepts(case, mutations, data):
-    n, links, through, types = case
+    n, links, types = case
     length = n
     for m in mutations:
         if m == "extra link":
@@ -537,16 +530,12 @@ def test_validate_accepts_exactly_what_the_pairwise_oracle_accepts(case, mutatio
             types[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(ALPHABET))
         elif m == "length":
             length += 1
-    if "through" in mutations:
-        through = tuple(data.draw(st.lists(st.integers(0, n), max_size=4)))
-    else:
-        through = tuple(p for p in range(n) if all(p not in link for link in links))
-    survivors = tuple(types[p] for p in through if p < n)
-    target = data.draw(st.sampled_from([None, survivors, survivors[1:], (ALPHABET[0],)]))
     seq = PregroupType(tuple(types))
-    diagram = ReductionDiagram(length, links, through)
+    diagram = ReductionDiagram(length, links)
+    survivors = tuple(types[p] for p in diagram.through if p < n)
+    target = data.draw(st.sampled_from([None, survivors, survivors[1:], (ALPHABET[0],)]))
     got = verdict(validate_diagram, seq, diagram, None if target is None else PregroupType(target))
-    want = verdict(validate_by_pairs, simples(seq), length, diagram.links, diagram.through,
+    want = verdict(validate_by_pairs, simples(seq), length, diagram.links,
                    None if target is None else simples(target))
     assert (got is None) == (want is None), (got, want)
     kinds = [k for k in ("diagram length", *(f[-1] for f in FAULTS)) if got is not None and k in got]
@@ -557,8 +546,9 @@ def test_validate_accepts_exactly_what_the_pairwise_oracle_accepts(case, mutatio
 @settings(max_examples=300, deadline=None)
 @given(typed_diagrams(faults=False))
 def test_ascii_diagram_matches_recursive_oracle(case):
-    n, links, through, types = case
+    n, links, types = case
     seq = PregroupType(tuple(types))
+    through = ReductionDiagram(n, links).through
     diagrams = enumerate_reductions(seq, PregroupType(tuple(types[p] for p in through)), 50)
     assert any(d.links == tuple(links) for d in diagrams)
     for d in diagrams:
@@ -625,6 +615,37 @@ def test_enumeration_matches_oracle_over_iterated_adjoints(case):
     mine = enumerate_reductions(seq, target, 10_000)
     assert [d.links for d in mine] == oracle_witnesses(simples(seq), simples(target))
     event(f"witnesses: {min(len(mine), 2)}")
+
+
+def assert_partners_and_through(seq, diagram):
+    """validate_diagram's partner list against the links, ``through`` against the positions in none."""
+    partner = validate_diagram(seq, diagram)
+    linked = {p for link in diagram.links for p in link}
+    assert diagram.through == tuple(p for p in range(diagram.length) if p not in linked)
+    assert len(partner) == diagram.length
+    assert tuple(p for p, q in enumerate(partner) if q == -1) == diagram.through
+    for i, j in diagram.links:
+        assert partner[i] == j and partner[j] == i
+    pickled = [pickle.loads(pickle.dumps(diagram, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in [copy.copy(diagram), copy.deepcopy(diagram), *pickled]:
+        assert copied == diagram and copied.through == diagram.through
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_diagrams(faults=False))
+def test_validate_returns_each_wires_partner(case):
+    n, links, types = case
+    assert_partners_and_through(PregroupType(tuple(types)), ReductionDiagram(n, links))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences_and_targets())
+def test_every_witness_has_partners_and_through_of_its_links(case):
+    seq, target = case
+    for diagram in enumerate_reductions(seq, target, 50):
+        assert_partners_and_through(seq, diagram)
+        assert tuple(seq[p] for p in diagram.through) == target.simples
 
 
 @st.composite
@@ -724,9 +745,9 @@ def test_ascii_diagram_nested_arcs_sit_below():
 
 @pytest.mark.parametrize("seq, diagram", [
     # a diagram for three wires drawn over one: the parent returned 'n'
-    (parse_type("n"), ReductionDiagram(3, ((0, 1),), (2,))),
+    (parse_type("n"), ReductionDiagram(3, ((0, 1),))),
     # right length, but the cup joins n^r and n, which do not cancel
-    (parse_type("n n^r n n^r"), ReductionDiagram(4, ((1, 2),), (0, 3))),
+    (parse_type("n n^r n n^r"), ReductionDiagram(4, ((1, 2),))),
 ])
 def test_ascii_diagram_checks_its_diagram(seq, diagram):
     with pytest.raises(DiagramError):

@@ -82,7 +82,7 @@ def test_transitive_basis_nouns_pick_a_verb_slice():
     assert np.allclose(got, t[0, :, 1], rtol=0, atol=1e-15)
     # full summation oracle agrees
     looped = meaning_by_loops(
-        [alice.tensor, t, bob.tensor], [1, 3, 1], diagram.links, diagram.through, [2] * 5
+        [alice.tensor, t, bob.tensor], [1, 3, 1], diagram.links, [2] * 5
     )
     assert np.allclose(got, looped, rtol=0, atol=1e-12)
 
@@ -102,7 +102,7 @@ def test_naive_matches_explicit_loops_on_negated_sentence():
     got = meaning_naive(words, diagram, SA22)
     looped = meaning_by_loops(
         [w.tensor for w in words], [len(w.type) for w in words],
-        diagram.links, diagram.through, [2] * 13,
+        diagram.links, [2] * 13,
     )
     assert np.allclose(got, looped, rtol=1e-12, atol=1e-12)
 
@@ -249,7 +249,7 @@ def test_unit_type_words_scale_the_meaning(at):
 @st.composite
 def sentence_cases(draw):
     """Words cut at random from a random fully nested diagram, unit-type words mixed in."""
-    n, links, through = bracket_diagram(draw(st.text(alphabet="().", max_size=7)))
+    n, links = bracket_diagram(draw(st.text(alphabet="().", max_size=7)))
     alphabet = [SimpleType(b, z) for b in ("n", "s") for z in (-1, 0, 1)]
     types = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
     for i, j in links:
@@ -266,7 +266,7 @@ def sentence_cases(draw):
     for k, span in enumerate(spans):
         wtype = UNIT if span is None else PregroupType(tuple(types[span[0]:span[1]]))
         words.append(WordMeaning(f"w{k}", wtype, rng.normal(size=shape_of(wtype, space))))
-    return words, ReductionDiagram(n, links, through), space
+    return words, ReductionDiagram(n, links), space
 
 
 def left_to_right_cost(words, diagram):
@@ -320,7 +320,7 @@ def left_to_right_cost(words, diagram):
 TRACE_LATE = (
     [WordMeaning("a", parse_type("n"), np.arange(1.0, 4.0)),
      WordMeaning("w", parse_type("n^r s s^r"), np.arange(3.0).reshape(3, 1, 1))],
-    ReductionDiagram(4, ((0, 1), (2, 3)), ()),
+    ReductionDiagram(4, ((0, 1), (2, 3))),
     SpaceAssignment({"n": 3, "s": 1}),
 )
 
@@ -343,7 +343,7 @@ def test_meaning_matches_naive_and_loops(case):
     dims = [space.dim(t.base) for w in words for t in w.type]
     if np.prod(dims) <= 256:
         looped = meaning_by_loops([w.tensor for w in words], [len(w.type) for w in words],
-                                  diagram.links, diagram.through, dims)
+                                  diagram.links, dims)
         assert np.max(np.abs(fast - looped), initial=0.0) <= 1e-9 * scale
 
 
@@ -521,7 +521,7 @@ def test_two_thousand_nested_cups_take_linear_time():
                              + [SimpleType("n", 1)] * depth
                              + [SimpleType("s")]))
     links = tuple((k, 2 * depth - 1 - k) for k in range(depth))
-    diagram = ReductionDiagram(2 * depth + 1, links, (2 * depth,))
+    diagram = ReductionDiagram(2 * depth + 1, links)
     v = np.array([0.6, 0.8])
     words = [WordMeaning(f"w{p}", PregroupType((t,)), v) for p, t in enumerate(seq)]
 
