@@ -192,19 +192,22 @@ def parse_type(text: str) -> PregroupType:
 
     Each simple type is a base name optionally followed by ``^`` and a run
     of ``l``/``r`` letters applied left to right (``n^rr`` is (n, +2)).
-    An empty string denotes the unit type.
+    An empty string denotes the unit type.  Each distinct token is checked
+    and built once per call; a malformed one raises :class:`ParseError`
+    naming the first malformed token in the text.
     """
     if not isinstance(text, str):
         raise ArgumentError(f"type text is {text!r}, not a str")
-    simples = []
-    for token in text.replace(".", " ").split():
+    tokens = text.replace(".", " ").split()
+    built = dict.fromkeys(tokens)
+    for token in built:  # each distinct token once, in the order it first appears
         name, caret, marks = token.partition("^")
         # name: an ASCII letter, then ASCII letters, digits or "_"; marks: one or more of l, r
         if not (name.isascii() and name[:1].isalpha() and name.replace("_", "").isalnum()
                 and (not caret or marks and not marks.strip("lr"))):
             raise ParseError(f"malformed simple type {token!r}")
-        simples.append(SimpleType(name, marks.count("r") - marks.count("l")))
-    return PregroupType(tuple(simples))
+        built[token] = SimpleType(name, marks.count("r") - marks.count("l"))
+    return PregroupType(tuple(map(built.__getitem__, tokens)))
 
 
 class ReductionDiagram(_Value):
@@ -305,9 +308,11 @@ def _witness_links(seq, target):
     ``partners[i]`` lists each k > i at odd distance whose wire cancels with
     i's, nearest first.  ``canc[i][j]`` says [i, j) of ``ext`` cancels
     completely: i cups with some partner k < j such that [i+1, k) and
-    [k+1, j) cancel.  Each position tries its partners nearest first and an
-    appended one lies rightmost, so witnesses come in the lexicographic
-    order of sorted link lists.
+    [k+1, j) cancel.  The rows are filled from the right, each only at its
+    balanced ends (the later positions at i's prefix level), so every cell
+    a row reads lies in a finished row.  Each position tries its partners
+    nearest first and an appended one lies rightmost, so witnesses come in
+    the lexicographic order of sorted link lists.
     """
     n = len(seq)
     ext = seq + tuple(map(right_adjoint, reversed(target)))
@@ -346,11 +351,13 @@ def _witness_links(seq, target):
                 return m
         return 0
 
-    for span in range(2, size + 1, 2):
-        # intervals starting at an appended position stay False
-        for i in range(min(size - span + 1, n)):
-            if level[i] == level[i + span]:
-                canc[i][i + span] = closer(i, i, i + span) > 0
+    later = {}  # prefix level -> the positions after i at that level: i's balanced ends
+    for i in range(size, -1, -1):
+        ends = later.setdefault(level[i], [])
+        if i < n:  # intervals starting at an appended position stay False
+            for j in ends:
+                canc[i][j] = closer(i, i, j) > 0
+        ends.append(i)
     if not canc[0][size]:
         return
     # depth first over one stack of cups (i, k, j), j ending i's interval

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (ArgumentError, DegenerateVectorError, DiagramError, ShapeError, SizeCapError,
                      positive_int)
-from .pregroup import PregroupType, ReductionDiagram, _pregroup, validate_diagram
+from .pregroup import PregroupType, ReductionDiagram, _pregroup, _tuple, validate_diagram
 from .tensors import SpaceAssignment, _instance, cup, kron_all, shape_of
 
 __all__ = [
@@ -298,11 +298,12 @@ def _fold(net, through):
 def contraction_plan(types, diagram, space) -> ContractionPlan:
     """Check and plan the evaluation of a diagram over words of these types.
 
-    ``types`` is a tuple with one :class:`PregroupType` per word.  Raises what
-    :func:`meaning` raises for anything but the tensors themselves:
-    ``ArgumentError`` for a diagram that is not a :class:`ReductionDiagram`
-    (such as the ``None`` of a failed ``reduce``) or a space that is not a
-    :class:`SpaceAssignment`, ``SpaceError`` for a base with no dimension,
+    ``types`` is an iterable with one :class:`PregroupType` per word, taken as
+    a tuple.  Raises what :func:`meaning` raises for anything but the tensors
+    themselves: ``ArgumentError`` for a diagram that is not a
+    :class:`ReductionDiagram` (such as the ``None`` of a failed ``reduce``),
+    a space that is not a :class:`SpaceAssignment` or a word type that is not
+    a :class:`PregroupType`, ``SpaceError`` for a base with no dimension,
     ``ShapeError`` for a diagram that does not fit the words, and
     ``SizeCapError`` when some step would hold more entries than both
     ``DEFAULT_SIZE_CAP`` and the largest word tensor.  Results are cached,
@@ -312,6 +313,11 @@ def contraction_plan(types, diagram, space) -> ContractionPlan:
     # before the cache hashes them
     _instance("diagram", diagram, ReductionDiagram)
     _instance("space", space, SpaceAssignment)
+    if types.__class__ is not tuple:
+        types = _tuple("word types", types)
+    for t in types:
+        if t.__class__ is not PregroupType:
+            _instance("word type", t, PregroupType)
     return _plan(types, diagram, space)
 
 

@@ -172,6 +172,14 @@ ARGUMENT_SITES = {
                                "space is {'n': 2}, not a SpaceAssignment"),
     "contraction_plan diagram": (lambda: contraction_plan((SEQ,), [(0, 1)], SPACE),
                                  "diagram is [(0, 1)], not a ReductionDiagram"),
+    "contraction_plan list of type texts": (
+        lambda: contraction_plan(["n", "n^r s"], gramflow.reduce(SEQ, SEQ[:0]), SPACE),
+        "word type is 'n', not a PregroupType"),
+    "contraction_plan tuple of type texts": (
+        lambda: contraction_plan(("n", "n^r s"), gramflow.reduce(SEQ, SEQ[:0]), SPACE),
+        "word type is 'n', not a PregroupType"),
+    "contraction_plan types not iterable": (lambda: contraction_plan(5, gramflow.reduce(SEQ, SEQ[:0]), SPACE),
+                                            "word types is 5, not an iterable"),
     "make_logical_does": (lambda: make_logical_does({"n": 2}), "space is {'n': 2}, not a SpaceAssignment"),
     "make_logical_not": (lambda: make_logical_not({"n": 2}, np.eye(2)),
                          "space is {'n': 2}, not a SpaceAssignment"),

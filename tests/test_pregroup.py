@@ -114,10 +114,13 @@ def parse_outcome(parse, text):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(TYPE_TEXT)
+# a text, or one that repeats its tokens around another, so parse_type meets tokens it has built
+@given(TYPE_TEXT | st.builds("{0} {1} {0}".format, TYPE_TEXT, TYPE_TEXT))
 def test_parse_type_matches_the_regex_rule(text):
     want = parse_outcome(parse_type_by_regex, text)
     event("parses" if isinstance(want, tuple) else "malformed")
+    tokens = text.replace(".", " ").split()
+    event("repeats a token" if len(set(tokens)) < len(tokens) else "no repeated token")
     assert parse_outcome(lambda t: simples(parse_type(t)), text) == want
 
 
@@ -676,6 +679,20 @@ def test_reduce_matches_the_interval_oracle_past_eight_wires(case):
         validate_diagram(seq, diagram, target)
     event("reduces" if diagram is not None else "does not reduce")
     event(f"wires: {len(seq) // 10 * 10}-{len(seq) // 10 * 10 + 9}")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(long_sequences_and_targets())
+def test_long_witnesses_are_distinct_ordered_and_valid(case):
+    seq, target = case
+    found = enumerate_reductions(seq, target, 16)
+    assert (found != []) == exists_by_intervals(simples(seq), simples(target))
+    links = [d.links for d in found]
+    assert all(a < b for a, b in zip(links, links[1:]))  # strictly increasing, so distinct
+    assert found[:1] == [d for d in [reduce(seq, target)] if d is not None]
+    for diagram in found:
+        validate_diagram(seq, diagram, target)
+    event(f"witnesses: {min(len(found), 2)}")
 
 
 def test_long_planted_non_reducing_sequence_does_not_reduce():

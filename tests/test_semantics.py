@@ -420,6 +420,16 @@ def test_sentence_class_plan_costs(types, cost):
     assert (plan.peak, plan.flops, len(plan.steps)) == cost
 
 
+def test_plan_takes_any_iterable_of_types_as_a_tuple():
+    types = tuple(map(parse_type, ["n", "n^r s n^l", "n"]))
+    diagram = reduce(PregroupType(tuple(t for w in types for t in w)), SENT)
+    plan = contraction_plan(types, diagram, SA22)
+    hits = contraction_plan.cache_info().hits
+    assert contraction_plan(list(types), diagram, SA22) is plan
+    assert contraction_plan(iter(types), diagram, SA22) is plan
+    assert contraction_plan.cache_info().hits == hits + 2
+
+
 def test_cached_plan_still_checks_tensor_shapes():
     rng = np.random.default_rng(43)
     seq = parse_type("n n^r s n^l n")
