@@ -305,14 +305,16 @@ def _witness_links(seq, target):
     is the left end of a cup to an appended adjoint (the yank of a cup and
     a cap), and such cups are dropped from the links.  No cup may start at
     an appended position, or the unit would reduce to ``n^r n`` by expansion.
-    ``partners[i]`` lists each k > i at odd distance whose wire cancels with
-    i's, nearest first.  ``canc[i][j]`` says [i, j) of ``ext`` cancels
-    completely: i cups with some partner k < j such that [i+1, k) and
-    [k+1, j) cancel.  The rows are filled from the right, each only at its
-    balanced ends (the later positions at i's prefix level), so every cell
-    a row reads lies in a finished row.  Each position tries its partners
-    nearest first and an appended one lies rightmost, so witnesses come in
-    the lexicographic order of sorted link lists.
+    ``canc[i][j]`` says [i, j) of ``ext`` cancels completely: i cups with
+    some k < j at odd distance whose wire cancels with i's, such that
+    [i+1, k) and [k+1, j) cancel.  The rows are filled from the right, each
+    only at its balanced ends (the later positions at i's prefix level), so
+    every cell a row reads lies in a finished row.  When row i is filled,
+    ``partners[i]`` lists, nearest first, only the k whose inner interval
+    [i+1, k) cancels, read off the finished row i+1; a row with no balanced
+    end lists none, and the witness search never reads it.  Each position
+    tries its partners nearest first and an appended one lies rightmost, so
+    witnesses come in the lexicographic order of sorted link lists.
     """
     n = len(seq)
     ext = seq + tuple(map(right_adjoint, reversed(target)))
@@ -337,24 +339,26 @@ def _witness_links(seq, target):
             found = where.setdefault((t.base, t.z + 1, ~p & 1), [])
             mates.append((found, len(found)))
         where.setdefault((t.base, t.z, p & 1), []).append(p)
-    partners = [found[start:] for found, start in mates]
+    partners = [()] * n  # filled with row i: the partners m whose [i+1, m) cancels
     canc = [[False] * (size + 1) for _ in range(size + 1)]
     for i, row in enumerate(canc):
         row[i] = True
 
-    def closer(i, k, j):  # the first partner of i in (k, j) whose cup leaves both sides cancelling
-        inner = canc[i + 1]
+    def closer(i, k, j):  # the first partner of i in (k, j) whose cup leaves [m+1, j) cancelling
         for m in partners[i]:
             if m >= j:
                 break
-            if m > k and inner[m] and canc[m + 1][j]:
+            if m > k and canc[m + 1][j]:
                 return m
         return 0
 
     later = {}  # prefix level -> the positions after i at that level: i's balanced ends
     for i in range(size, -1, -1):
         ends = later.setdefault(level[i], [])
-        if i < n:  # intervals starting at an appended position stay False
+        if ends and i < n:  # a row with no balanced end or an appended start stays False
+            found, start = mates[i]
+            inner = canc[i + 1]  # row i+1 is finished
+            partners[i] = [m for m in found[start:] if inner[m]]
             for j in ends:
                 canc[i][j] = closer(i, i, j) > 0
         ends.append(i)

@@ -1,5 +1,6 @@
 import copy
 import gc
+import math
 import pickle
 import random
 import re
@@ -611,8 +612,41 @@ def sequences_and_targets(draw):
     return PregroupType(seq), PregroupType(target)
 
 
-@settings(max_examples=1000, deadline=None)
-@given(sequences_and_targets())
+ONE_BASE = st.builds(SimpleType, st.just(N), st.integers(-1, 1))
+
+
+@st.composite
+def one_base_nests(draw, wires):
+    """Pairs (t, t^r) of one base, nested and side by side, a target and perhaps a planted pair.
+
+    Each pair wraps a drawn run of the blocks made so far, or none, so most
+    wires have several partners at odd distance whose inner interval does
+    not cancel.  The target's wires sit between the top-level blocks, and
+    the planted pair is some t^r and, somewhere after it, t: at most
+    ``wires`` types in all.
+    """
+    target = draw(st.lists(ONE_BASE, max_size=min(3, wires)))
+    planted = len(target) + 2 <= wires and draw(st.booleans())
+    blocks = []
+    for _ in range(draw(st.integers(0, (wires - len(target) - 2 * planted) // 2))):
+        t = draw(ONE_BASE)
+        a = draw(st.integers(0, len(blocks)))
+        b = draw(st.integers(a, len(blocks)))
+        blocks[a:b] = [[t, *(s for block in blocks[a:b] for s in block), right_adjoint(t)]]
+    for t in target:
+        blocks.insert(draw(st.integers(0, len(blocks))), [t])
+    seq = [s for block in blocks for s in block]
+    if planted:
+        t = draw(ONE_BASE)
+        at = draw(st.integers(0, len(seq)))
+        seq.insert(draw(st.integers(at, len(seq))), t)
+        seq.insert(at, right_adjoint(t))
+    return PregroupType(seq), PregroupType(target)
+
+
+# half the examples from each strategy, so about 1,000 from sequences_and_targets
+@settings(max_examples=2000, deadline=None)
+@given(sequences_and_targets() | one_base_nests(8))
 def test_enumeration_matches_oracle_over_iterated_adjoints(case):
     seq, target = case
     mine = enumerate_reductions(seq, target, 10_000)
@@ -681,8 +715,9 @@ def test_reduce_matches_the_interval_oracle_past_eight_wires(case):
     event(f"wires: {len(seq) // 10 * 10}-{len(seq) // 10 * 10 + 9}")
 
 
-@settings(max_examples=1000, deadline=None)
-@given(long_sequences_and_targets())
+# half the examples from each strategy, so about 1,000 from long_sequences_and_targets
+@settings(max_examples=2000, deadline=None)
+@given(long_sequences_and_targets() | one_base_nests(41))
 def test_long_witnesses_are_distinct_ordered_and_valid(case):
     seq, target = case
     found = enumerate_reductions(seq, target, 16)
@@ -693,6 +728,21 @@ def test_long_witnesses_are_distinct_ordered_and_valid(case):
     for diagram in found:
         validate_diagram(seq, diagram, target)
     event(f"witnesses: {min(len(found), 2)}")
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_clause_chain_has_catalan_many_witnesses_in_order(k):
+    # k clauses n n^r s joined by the connective s^l s s^r: each way to bracket
+    # the k clauses is one witness, so there are Catalan(k) of them
+    seq = parse_type(" s^l s s^r ".join(["n n^r s"] * k))
+    assert len(seq) == 6 * k - 3
+    found = enumerate_reductions(seq, SENT, 10**6)
+    assert len(found) == math.comb(2 * k, k) // (k + 1)
+    links = [d.links for d in found]
+    assert all(a < b for a, b in zip(links, links[1:]))
+    for diagram in found:
+        validate_diagram(seq, diagram, SENT)
+    assert found[0] == reduce(seq, SENT)
 
 
 def test_long_planted_non_reducing_sequence_does_not_reduce():
