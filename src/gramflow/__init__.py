@@ -20,10 +20,9 @@ __version__ = "0.1.0"
 
 _LAZY = {
     "distributional": ("BasisSpec", "VectorSpaceModel", "build_basis", "build_model",
-                       "load_model", "meaning_vector", "save_model", "similarity", "tokenize"),
+                       "load_model", "save_model", "tokenize"),
     "lexicon": ("Lexicon", "load_lexicon", "make_logical_does", "make_logical_not"),
-    "semantics": ("WordMeaning", "choi_embed", "cosine", "is_separable", "meaning",
-                  "meaning_naive", "snake_check"),
+    "semantics": ("WordMeaning", "choi_embed", "cosine", "is_separable", "meaning", "meaning_naive"),
     "tensors": ("SpaceAssignment", "cup", "kron", "read_tensor", "shape_of", "write_tensor"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

@@ -3,7 +3,7 @@
 Subcommands: ``space build`` (fit a vector space model to a corpus),
 ``parse`` (grammar check with diagram rendering), ``meaning`` (sentence
 vector), ``compare`` (cosine between two sentence vectors) and
-``demo snake`` (the cup/cap yanking identity as a numeric check).
+``demo snake`` (the cup/cap yanking identity, evaluated by ``meaning``).
 
 Exit codes: 0 success, 1 semantic rejection (ungrammatical input or a
 failed identity), 2 usage or data errors.
@@ -22,8 +22,8 @@ from .distributional import (DEFAULT_WINDOW, build_basis, build_model, load_corp
 from .errors import GramflowError
 from .lexicon import load_lexicon
 from .pregroup import PregroupType, ascii_diagram, parse_type, reduce as reduce_type
-from .semantics import cosine, meaning, snake_check
-from .tensors import SpaceAssignment
+from .semantics import WordMeaning, cosine, meaning
+from .tensors import SpaceAssignment, cup
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -145,11 +145,17 @@ def cmd_compare(args):
 
 
 def cmd_demo_snake(args):
-    if not 1 <= args.dimension <= 64:
-        raise GramflowError(f"dimension must be in [1, 64], got {args.dimension}")
-    deviation = float(np.max(np.abs(snake_check(args.dimension) - np.eye(args.dimension))))
+    d = args.dimension
+    if not 1 <= d <= 64:
+        raise GramflowError(f"dimension must be in [1, 64], got {d}")
+    # a word of type n n holding the cap, then one of type n^r n holding the cup:
+    # the reduction's cup between them yanks the wire straight, so meaning gives Id
+    cap = WordMeaning("cap", parse_type("n n"), cup(d))
+    state = WordMeaning("cup", parse_type("n^r n"), cup(d))
+    yank = reduce_type(cap.type + state.type, cap.type)
+    deviation = float(np.max(np.abs(meaning([cap, state], yank, SpaceAssignment({"n": d})) - np.eye(d))))
     ok = deviation < 1e-12
-    _emit(args, {"dimension": args.dimension, "max_deviation": deviation, "pass": ok},
+    _emit(args, {"dimension": d, "max_deviation": deviation, "pass": ok},
           [f"max |composite - identity| = {deviation:.3g}", "PASS" if ok else "FAIL"])
     return EXIT_OK if ok else EXIT_REJECTED
 

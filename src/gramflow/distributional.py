@@ -36,9 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (ArgumentError, CorpusError, DegenerateVectorError, ParseError, UnknownWordError,
-                     positive_int)
-from .semantics import cosine
+from .errors import ArgumentError, CorpusError, ParseError, positive_int
 from .tensors import _file_path, _instance
 
 __all__ = [
@@ -48,9 +46,7 @@ __all__ = [
     "documents_from_text",
     "load_corpus",
     "build_basis",
-    "meaning_vector",
     "build_model",
-    "similarity",
     "save_model",
     "load_model",
 ]
@@ -64,8 +60,11 @@ DEFAULT_WINDOW = 2
 
 
 def _sequence(what: str, value, of: str):
-    """``value``; :class:`ArgumentError` for a ``str``, ``bytes`` or path, which iterating would split."""
-    if isinstance(value, (str, bytes, os.PathLike)):
+    """``value``; :class:`ArgumentError` unless it is iterable and not a ``str``, ``bytes`` or path.
+
+    Iterating a ``str``, ``bytes`` or path would split it.
+    """
+    if isinstance(value, (str, bytes, os.PathLike)) or not hasattr(value, "__iter__"):
         raise ArgumentError(f"{what} is {value!r}, not a sequence of {of}")
     return value
 
@@ -84,8 +83,11 @@ def tokenize(text: str) -> list[str]:
 
     A text that is ASCII once lowercased is split by one ``str.translate``
     and ``str.split``; any other text by the regex ``[^\\W_]+``, which is
-    faster there.  Both give the same tokens.
+    faster there.  Both give the same tokens.  Anything but a ``str`` raises
+    :class:`ArgumentError`.
     """
+    if not isinstance(text, str):
+        raise ArgumentError(f"text is {text!r}, not a str")
     low = text.lower()  # lowercased first: the Kelvin sign U+212A lowers to ASCII "k"
     if low.isascii():
         return low.translate(_SEPARATORS).split()
@@ -96,7 +98,10 @@ def documents_from_text(text: str) -> list[list[str]]:
     """Split text into documents on blank lines and tokenize each.
 
     Equal tokens are one ``str`` object, which keeps a large corpus small.
+    Anything but a ``str`` raises :class:`ArgumentError`.
     """
+    if not isinstance(text, str):
+        raise ArgumentError(f"text is {text!r}, not a str")
     return _documents(text, {})
 
 
@@ -149,10 +154,15 @@ class VectorSpaceModel:
 
 
 def build_basis(corpus, k: int, stop=None, window: int = DEFAULT_WINDOW) -> BasisSpec:
-    """Choose the k most frequent tokens (ties lexicographic) as the basis, with this window."""
+    """Choose the k most frequent tokens not in ``stop`` (ties lexicographic) as the basis, with this window.
+
+    ``stop`` is a collection of tokens; a ``str`` would be its characters, so
+    it raises :class:`ArgumentError`, as anything not iterable does.
+    """
     k = positive_int("basis size", k)
+    stop = () if stop is None else _sequence("stop words", stop, "tokens")
     freq = Counter(chain.from_iterable(_documents_checked(corpus)))
-    for tok in stop or ():
+    for tok in stop:
         freq.pop(tok, None)
     if len(freq) < k:
         raise CorpusError(f"need {k} distinct eligible tokens, corpus has {len(freq)}")
@@ -201,14 +211,6 @@ def _relative_counts(corpus, basis: BasisSpec):
     return rows, occ, vectors
 
 
-def meaning_vector(corpus, word: str, basis: BasisSpec) -> np.ndarray:
-    """Relative co-occurrence frequencies of ``word`` against the basis."""
-    rows, _, vectors = _relative_counts(corpus, basis)
-    if word not in rows:
-        raise UnknownWordError(f"word {word!r} does not occur in the corpus")
-    return vectors[rows[word]].copy()  # a view would keep the whole matrix alive
-
-
 def build_model(corpus, basis: BasisSpec) -> VectorSpaceModel:
     """Meaning vectors for the whole vocabulary in one pass.
 
@@ -217,24 +219,6 @@ def build_model(corpus, basis: BasisSpec) -> VectorSpaceModel:
     """
     rows, occ, vectors = _relative_counts(corpus, basis)
     return VectorSpaceModel(basis, dict(zip(rows, vectors)), dict(zip(rows, occ.tolist())))
-
-
-def similarity(model: VectorSpaceModel, w1: str, w2: str) -> float:
-    """Cosine between two stored meaning vectors.
-
-    Coordinate-identical vectors (a word with itself, or exact synonyms by
-    construction) are exactly parallel, so that case returns 1.0 without
-    going through the rounding of an explicit norm computation.
-    """
-    _instance("model", model, VectorSpaceModel)
-    for w in (w1, w2):
-        if w not in model.vectors:
-            raise UnknownWordError(f"word {w!r} is not in the model")
-        if not np.any(model.vectors[w]):
-            raise DegenerateVectorError(f"word {w!r} has a zero meaning vector")
-    if np.array_equal(model.vectors[w1], model.vectors[w2]):
-        return 1.0
-    return cosine(model.vectors[w1], model.vectors[w2])
 
 
 # rows written per file write, and lines parsed per np.loadtxt call: large

@@ -35,7 +35,7 @@ class SizeCapError(GramflowError):
 
 
 class UnknownWordError(GramflowError):
-    """A word is missing from the lexicon, model, or corpus."""
+    """A word is missing from the lexicon or the vector model."""
 
 
 class DegenerateVectorError(GramflowError):

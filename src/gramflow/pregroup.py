@@ -30,7 +30,6 @@ __all__ = [
     "contracts",
     "reduce",
     "enumerate_reductions",
-    "is_sentence",
     "validate_diagram",
     "ascii_diagram",
 ]
@@ -419,13 +418,6 @@ def enumerate_reductions(
         if len(diagrams) == limit:
             break
     return diagrams
-
-
-def is_sentence(seq: PregroupType, sentence: PregroupType | None = None) -> bool:
-    """True when the sequence reduces to the sentence type (default ``s``)."""
-    if sentence is None:
-        sentence = PregroupType((SimpleType("s"),))
-    return reduce(seq, sentence) is not None
 
 
 def ascii_diagram(seq: PregroupType, diagram: ReductionDiagram) -> str:

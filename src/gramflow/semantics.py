@@ -48,7 +48,6 @@ __all__ = [
     "contraction_plan",
     "meaning",
     "meaning_naive",
-    "snake_check",
     "choi_embed",
     "is_separable",
     "cosine",
@@ -57,6 +56,9 @@ __all__ = [
 DEFAULT_SIZE_CAP = 10_000_000
 # norms whose squares are normal floats: outside, cosine rescales first
 _TINY_NORM, _HUGE_NORM = 1e-150, 1e150
+# a few ulps below 1: cosine(v, v) computes to within 2 ulps of 1, so from here up the
+# vectors may be coordinate-identical
+_NEAR_ONE = 1.0 - 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,24 +394,6 @@ def meaning(words, diagram, space) -> np.ndarray:
     return out if plan.steps else out.copy()
 
 
-def snake_check(d: int) -> np.ndarray:
-    """Compose (cap x Id) after (Id x cup) by explicit index summation.
-
-    The composite is a d-by-d matrix; it equals the identity exactly, which
-    is the defining yanking identity of the delta cup and cap.
-    """
-    d = positive_int("dimension", d)
-    cap = state = cup(d)
-    out = np.zeros((d, d))
-    for b in range(d):
-        for a in range(d):
-            acc = 0.0
-            for i in range(d):
-                acc += cap[a, i] * state[i, b]
-            out[b, a] = acc
-    return out
-
-
 def choi_embed(f) -> np.ndarray:
     """Embed a linear map as the bipartite state obtained by feeding it a cup.
 
@@ -417,9 +401,10 @@ def choi_embed(f) -> np.ndarray:
     entries state[i, k] = f[i, k].  Used as the tensor of an intransitive
     verb, the state makes the sentence meaning of "subject verb" equal to
     the map applied to the subject vector: the subject's cup picks out
-    ``sum_i v[i] * f[i, :]``.
+    ``sum_i v[i] * f[i, :]``.  Anything but a matrix of numbers raises
+    :class:`ShapeError`.
     """
-    arr = np.asarray(f, dtype=float)
+    arr = _floats("f", f)
     if arr.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {list(arr.shape)}")
     return arr.copy()
@@ -433,7 +418,7 @@ def is_separable(tensor, split_after: int, tol: float = 1e-9) -> bool:
     (a finite real number above 0) times the largest.  The zero tensor
     counts as separable.
     """
-    arr = np.asarray(tensor, dtype=float)
+    arr = _floats("tensor", tensor)
     if positive_int("split_after", split_after) >= arr.ndim:
         raise ArgumentError(f"split_after must be in [1, {arr.ndim - 1}], got {split_after}")
     if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
@@ -446,16 +431,27 @@ def is_separable(tensor, split_after: int, tol: float = 1e-9) -> bool:
     return sing[1] <= tol * sing[0]
 
 
-def cosine(u, v) -> float:
-    """Cosine of the angle between two vectors of equal shape.
+def _floats(what: str, value) -> np.ndarray:
+    """``value`` as a float array; :class:`ShapeError` when numpy cannot read it as one."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{what} is not an array of numbers") from None
 
-    A zero vector, or one with an infinite or ``nan`` entry, raises
-    :class:`DegenerateVectorError`.  A norm whose square would overflow or
-    underflow is taken after scaling the vectors by their largest magnitudes,
-    so huge and tiny finite vectors get the same cosine as moderate ones.
+
+def cosine(u, v) -> float:
+    """Cosine of the angle between two vectors of equal shape, in [-1, 1].
+
+    Coordinate-identical vectors (a word with itself, or exact synonyms by
+    construction) give exactly 1.0: the arrays are compared only when the
+    rounded quotient lands within a few ulps of 1.  A zero vector, or one
+    with an infinite or ``nan`` entry, raises :class:`DegenerateVectorError`,
+    and a value numpy cannot read as floats raises :class:`ShapeError`.  A
+    norm whose square would overflow or underflow is taken after scaling the
+    vectors by their largest magnitudes, so huge and tiny finite vectors get
+    the same cosine as moderate ones.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+    u, v = _floats("u", u).ravel(), _floats("v", v).ravel()
     if u.shape != v.shape:
         raise ShapeError(f"shape mismatch: {u.shape} vs {v.shape}")
     # the bits of np.linalg.norm (the root of dot), but vdot gives no overflow
@@ -467,6 +463,10 @@ def cosine(u, v) -> float:
             raise DegenerateVectorError("cosine of a zero vector is undefined")
         if not (math.isfinite(top_u) and math.isfinite(top_v)):
             raise DegenerateVectorError("cosine of a vector with a non-finite norm is undefined")
+        # equal after scaling: parallel to within rounding, so 1.0 is still the rounded cosine
         u, v = u / top_u, v / top_v
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    return float(np.dot(u, v) / (nu * nv))
+    c = float(np.dot(u, v) / (nu * nv))
+    if c < _NEAR_ONE:
+        return max(c, -1.0)
+    return 1.0 if c > 1.0 or np.array_equal(u, v) else c

@@ -274,6 +274,23 @@ def meaning_by_loops(tensors, sizes, links, dims):
     return out
 
 
+def snake_by_loops(d):
+    """The yank, cap x Id after Id x cup, by explicit index summation.
+
+    Cap and cup are both the delta d_ij, written out here; the d-by-d
+    composite is the identity exactly.
+    """
+    delta = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
+    out = np.zeros((d, d))
+    for a in range(d):
+        for b in range(d):
+            acc = 0.0
+            for i in range(d):
+                acc += delta[a][i] * delta[i][b]
+            out[a, b] = acc
+    return out
+
+
 _TYPE_TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^([lr]+))?$")
 
 

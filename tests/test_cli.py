@@ -347,6 +347,12 @@ def test_demo_snake_passes():
         assert "PASS" in out.stdout
 
 
+def test_demo_snake_is_exact_at_every_dimension(capsys):
+    for d in range(1, 65):
+        assert cli.main(["--json", "demo", "snake", "-d", str(d)]) == 0
+        assert capsys.readouterr().out == json.dumps({"dimension": d, "max_deviation": 0.0, "pass": True}) + "\n"
+
+
 def test_demo_snake_dimension_bounds():
     assert run_cli("demo", "snake", "-d", "0").returncode == 2
     assert run_cli("demo", "snake", "-d", "65").returncode == 2

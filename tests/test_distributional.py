@@ -3,6 +3,7 @@ import os
 import random
 import re
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,14 +17,12 @@ from gramflow import (
     DegenerateVectorError,
     GramflowError,
     ParseError,
-    UnknownWordError,
     VectorSpaceModel,
     build_basis,
     build_model,
+    cosine,
     load_model,
-    meaning_vector,
     save_model,
-    similarity,
     tokenize,
 )
 from gramflow import distributional
@@ -51,6 +50,13 @@ def test_tokenize_examples():
 @example("Tab\tline\nfeed\x1c\x1f\x7f\x00end")  # ASCII controls
 def test_tokenize_matches_regex_oracle(text):
     assert tokenize(text) == tokens_by_regex(text)
+
+
+@pytest.mark.parametrize("text", [None, b"ab", 5, ["a b"]], ids=["None", "bytes", "int", "list"])
+@pytest.mark.parametrize("call", [tokenize, documents_from_text])
+def test_text_that_is_not_a_str_is_an_argument_error(call, text):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(f'text is {text!r}, not a str')}$"):
+        call(text)
 
 
 def test_documents_split_on_blank_lines():
@@ -101,6 +107,15 @@ def test_build_basis_stop_words_and_window_default():
     assert build_basis([["x", "y"]], 1, window=5) == BasisSpec(("x",), window=5)
 
 
+@pytest.mark.parametrize("stop", ["the", b"the", Path("the"), 5], ids=["str", "bytes", "path", "int"])
+def test_stop_words_are_a_collection_of_tokens(stop):
+    # a str would be taken as its characters and leave "the" in the basis
+    message = f"stop words is {stop!r}, not a sequence of tokens"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        build_basis([["the", "a", "the"]], 1, stop=stop)
+    assert build_basis([["the", "a", "the"]], 1, stop=["the"]).words == ("a",)
+
+
 def test_basis_spec_validation():
     with pytest.raises(ValueError):
         BasisSpec(("a", "a"))
@@ -130,30 +145,15 @@ def test_numpy_integer_basis_size_and_window():
     assert type(basis.window) is int
 
 
-def test_meaning_vector_examples():
+def test_model_vector_examples():
     corpus = [["alice", "hates", "bob"]]
     basis = BasisSpec(("hates", "bob"), window=2)
-    assert list(meaning_vector(corpus, "alice", basis)) == [1.0, 1.0]
+    assert list(build_model(corpus, basis).vectors["alice"]) == [1.0, 1.0]
 
-    assert list(meaning_vector(corpus, "alice", BasisSpec(("alice",), window=2))) == [0.0]
+    assert list(build_model(corpus, BasisSpec(("alice",), window=2)).vectors["alice"]) == [0.0]
 
     far = [["alice", "x", "x", "x", "bob"]]
-    assert list(meaning_vector(far, "alice", BasisSpec(("bob",), window=2))) == [0.0]
-
-
-def test_meaning_vector_unknown_word():
-    with pytest.raises(UnknownWordError, match="'carol'"):
-        meaning_vector([["alice"]], "carol", BasisSpec(("alice",)))
-
-
-def test_meaning_vector_agrees_with_bulk_model():
-    rng = random.Random(5)
-    vocab = list("abcdefg")
-    corpus = [[rng.choice(vocab) for _ in range(rng.randrange(1, 12))] for _ in range(15)]
-    basis = build_basis(corpus, 4)
-    model = build_model(corpus, basis)
-    for word in model.vectors:
-        assert np.array_equal(model.vectors[word], meaning_vector(corpus, word, basis))
+    assert list(build_model(far, BasisSpec(("bob",), window=2)).vectors["alice"]) == [0.0]
 
 
 def test_entries_bounded_by_window():
@@ -208,27 +208,25 @@ def test_exact_synonym_construction():
     basis = build_basis(twinned, 4)
     model = build_model(twinned, basis)
     assert np.array_equal(model.vectors["alice"], model.vectors["alys"])
-    assert similarity(model, "alice", "alys") == 1.0
+    assert cosine(model.vectors["alice"], model.vectors["alys"]) == 1.0
 
 
-def test_similarity_examples():
+def test_cosine_of_model_vectors():
     corpus = [["a", "x", "b"], ["a", "y", "b"]]
-    model = build_model(corpus, BasisSpec(("a", "b"), window=1))
+    vectors = build_model(corpus, BasisSpec(("a", "b"), window=1)).vectors
     # x and y sit in identical contexts
-    assert similarity(model, "x", "y") == pytest.approx(1.0, abs=1e-12)
-    assert similarity(model, "x", "x") == 1.0
+    assert cosine(vectors["x"], vectors["y"]) == 1.0
+    assert cosine(vectors["x"], vectors["x"]) == 1.0
     # disjoint contexts are orthogonal
-    disjoint = build_model([["a", "x"], ["b", "y"]], BasisSpec(("a", "b"), window=1))
-    assert similarity(disjoint, "x", "y") == 0.0
+    disjoint = build_model([["a", "x"], ["b", "y"]], BasisSpec(("a", "b"), window=1)).vectors
+    assert cosine(disjoint["x"], disjoint["y"]) == 0.0
 
 
-def test_similarity_error_cases():
-    model = build_model([["a", "b", "c", "far", "x"]], BasisSpec(("b",), window=1))
-    with pytest.raises(UnknownWordError):
-        similarity(model, "a", "zzz")
+def test_cosine_of_a_zero_model_vector_is_degenerate():
+    vectors = build_model([["a", "b", "c", "far", "x"]], BasisSpec(("b",), window=1)).vectors
     # "far" never sits next to "b", so its vector is all zero
     with pytest.raises(DegenerateVectorError):
-        similarity(model, "a", "far")
+        cosine(vectors["a"], vectors["far"])
 
 
 def test_model_file_round_trip_bitwise(tmp_path):
@@ -584,18 +582,6 @@ def test_build_basis_matches_counting_loop(corpus, k, stop):
             build_basis(corpus, k, stop=stop)
     else:
         assert build_basis(corpus, k, stop=stop) == BasisSpec(want)
-
-
-@settings(max_examples=100, deadline=None)
-@given(CORPORA, BASES, WINDOWS, WORDS)
-def test_meaning_vector_matches_loop_oracle(corpus, words, window, word):
-    basis = BasisSpec(tuple(words), window)
-    vectors, _ = model_by_loops(corpus, basis.words, window)
-    if word not in vectors:
-        with pytest.raises(UnknownWordError):
-            meaning_vector(corpus, word, basis)
-    else:
-        assert meaning_vector(corpus, word, basis).tobytes() == vectors[word].tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,8 +12,7 @@ import pytest
 import gramflow
 from gramflow import (ArgumentError, BasisSpec, SpaceAssignment, VectorSpaceModel, build_basis, build_model,
                       cup, enumerate_reductions, is_separable, load_lexicon, load_model, make_logical_does,
-                      make_logical_not, meaning_vector, parse_type, read_tensor, save_model, shape_of,
-                      similarity, snake_check, write_tensor)
+                      make_logical_not, parse_type, read_tensor, save_model, shape_of, write_tensor)
 from gramflow.distributional import load_corpus
 from gramflow.semantics import contraction_plan
 
@@ -28,7 +27,7 @@ import gramflow
 seq = gramflow.parse_type("n") + gramflow.parse_type("n^r s n^l") + gramflow.parse_type("n")
 target = gramflow.parse_type("s")
 diagram = gramflow.reduce(seq, target)
-assert diagram is not None and gramflow.is_sentence(seq)
+assert diagram is not None
 assert gramflow.enumerate_reductions(seq, target, 2) == [diagram]
 gramflow.validate_diagram(seq, diagram, target)
 assert gramflow.ascii_diagram(seq, diagram)
@@ -91,13 +90,12 @@ PUBLIC_NAMES = {
     "ArgumentError", "CorpusError", "DegenerateVectorError", "DiagramError", "GramflowError",
     "ParseError", "ShapeError", "SizeCapError", "SpaceError", "UnknownWordError",
     "PregroupType", "ReductionDiagram", "SimpleType", "ascii_diagram", "contracts",
-    "enumerate_reductions", "is_sentence", "left_adjoint", "parse_type", "reduce",
-    "right_adjoint", "validate_diagram",
-    "BasisSpec", "VectorSpaceModel", "build_basis", "build_model", "load_model",
-    "meaning_vector", "save_model", "similarity", "tokenize",
+    "enumerate_reductions", "left_adjoint", "parse_type", "reduce", "right_adjoint",
+    "validate_diagram",
+    "BasisSpec", "VectorSpaceModel", "build_basis", "build_model", "load_model", "save_model",
+    "tokenize",
     "Lexicon", "load_lexicon", "make_logical_does", "make_logical_not",
     "WordMeaning", "choi_embed", "cosine", "is_separable", "meaning", "meaning_naive",
-    "snake_check",
     "SpaceAssignment", "cup", "kron", "read_tensor", "shape_of", "write_tensor",
 }
 
@@ -124,7 +122,6 @@ INTEGER_SITES = {
     "SpaceAssignment": ("dimension for base 'n'", lambda v: SpaceAssignment({"n": v})),
     "enumerate_reductions": ("limit", lambda v: enumerate_reductions(SEQ, SEQ[:0], v)),
     "cup": ("dimension", cup),
-    "snake_check": ("dimension", snake_check),
     "is_separable": ("split_after", lambda v: is_separable(np.ones((2, 2)), v)),
 }
 
@@ -158,8 +155,9 @@ ARGUMENT_SITES = {
         "corpus document is b'ab', not a sequence of tokens"),
     "build_model str document": (lambda: build_model(["hello world"], BasisSpec(("a",))),
                                  "corpus document is 'hello world', not a sequence of tokens"),
-    "meaning_vector str document": (lambda: meaning_vector([["a"], "a b"], "a", BasisSpec(("a",))),
-                                    "corpus document is 'a b', not a sequence of tokens"),
+    "build_basis corpus not iterable": (lambda: build_basis(5, 1), "corpus is 5, not a sequence of documents"),
+    "build_model document not iterable": (lambda: build_model([["a"], 5], BasisSpec(("a",))),
+                                          "corpus document is 5, not a sequence of tokens"),
     "BasisSpec str": (lambda: BasisSpec("the"), "basis words is 'the', not a sequence of words"),
     "shape_of": (lambda: shape_of(SEQ, {"n": 2}), "space is {'n': 2}, not a SpaceAssignment"),
     "load_lexicon space": (lambda: load_lexicon("lexicon.tsv", {"n": 2}),
@@ -185,8 +183,9 @@ ARGUMENT_SITES = {
                          "space is {'n': 2}, not a SpaceAssignment"),
     "SpaceAssignment": (lambda: SpaceAssignment(None), "space dimensions are None, not a mapping"),
     "build_model": (lambda: build_model([["a"]], ("a",)), "basis is ('a',), not a BasisSpec"),
-    "meaning_vector": (lambda: meaning_vector([["a"]], "a", ("a",)), "basis is ('a',), not a BasisSpec"),
-    "similarity": (lambda: similarity({}, "a", "a"), "model is {}, not a VectorSpaceModel"),
+    "BasisSpec words not iterable": (lambda: BasisSpec(5), "basis words is 5, not a sequence of words"),
+    "build_basis stop words str": (lambda: build_basis([["the", "a"]], 1, stop="the"),
+                                   "stop words is 'the', not a sequence of tokens"),
     "save_model model": (lambda: save_model({}, "model.txt"), "model is {}, not a VectorSpaceModel"),
     # open() takes an integer as a file descriptor: 1 would close standard output, 0 read standard input
     "read_tensor fd": (lambda: read_tensor(1), "path is 1, not a str, bytes or os.PathLike"),

@@ -25,7 +25,6 @@ from gramflow import (
     ascii_diagram,
     contracts,
     enumerate_reductions,
-    is_sentence,
     left_adjoint,
     meaning,
     meaning_naive,
@@ -158,7 +157,7 @@ def test_simple_type_stores_an_integer_order_as_int():
     (lambda: ReductionDiagram(2, [(0, 1.0)]), "diagram link entry is 1.0, not an integer"),
     (lambda: reduce(parse_type("n n^r s"), "s"), "pregroup type element is 's', not a SimpleType"),
     (lambda: enumerate_reductions("n n^r s", SENT, 2), "pregroup type element is 'n', not a SimpleType"),
-    (lambda: is_sentence("n n^r s"), "pregroup type element is 'n', not a SimpleType"),
+    (lambda: reduce("n n^r s", SENT), "pregroup type element is 'n', not a SimpleType"),
     (lambda: validate_diagram(parse_type("n n^r s"), ReductionDiagram(3, [(0, 1)]), "s"),
      "pregroup type element is 's', not a SimpleType"),
     (lambda: validate_diagram(parse_type("n"), None), "diagram is None, not a ReductionDiagram"),
@@ -420,12 +419,6 @@ def test_reduce_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_is_sentence_examples():
-    assert is_sentence(parse_type("n n^r s n^l n"))
-    assert not is_sentence(parse_type("n"))
-    assert is_sentence(parse_type("n n^r s"))
 
 
 # ------------------------------------------------------ diagram validation

@@ -32,14 +32,13 @@ from gramflow import (
     parse_type,
     reduce,
     shape_of,
-    snake_check,
     validate_diagram,
 )
 from gramflow import semantics
 from gramflow.semantics import DEFAULT_SIZE_CAP, contraction_plan
 from gramflow.pregroup import left_adjoint, right_adjoint
 
-from oracles import bracket_diagram, meaning_by_loops
+from oracles import bracket_diagram, meaning_by_loops, snake_by_loops
 
 SENT = parse_type("s")
 SA22 = SpaceAssignment({"n": 2, "s": 2})
@@ -550,15 +549,30 @@ def test_two_thousand_nested_cups_take_linear_time():
 
 # ----------------------------------------------------------------- snake
 
-def test_snake_small_dimensions():
-    assert np.array_equal(snake_check(1), np.eye(1))
-    assert np.array_equal(snake_check(2), np.eye(2))
-    assert float(np.max(np.abs(snake_check(8) - np.eye(8)))) < 1e-12
+def _teleport(first, d):
+    """``first``, then a word of type n^r n holding the cup, reduced to ``first``'s type by meaning."""
+    state = WordMeaning("cup", parse_type("n^r n"), cup(d))
+    diagram = reduce(first.type + state.type, first.type)
+    return meaning([first, state], diagram, SpaceAssignment({"n": d}))
 
 
-def test_snake_exact_identity_up_to_eight():
-    for d in range(1, 9):
-        assert np.array_equal(snake_check(d), np.eye(d))
+def test_snake_through_meaning_is_exactly_the_identity():
+    for d in (*range(1, 9), 64):
+        cap = WordMeaning("cap", parse_type("n n"), cup(d))
+        assert np.array_equal(_teleport(cap, d), np.eye(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16).flatmap(
+    lambda d: st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d)))
+def test_a_cup_word_carries_any_vector_through_unchanged(coords):
+    # each output coordinate is v[b] * 1 plus products with 0; a -0.0 would come
+    # back +0.0 beside a +0.0 product, so zeros are drawn unsigned
+    v = np.array(coords) + 0.0
+    d = len(v)
+    assert _teleport(WordMeaning("v", parse_type("n"), v), d).tobytes() == v.tobytes()
+    cap = WordMeaning("cap", parse_type("n n"), cup(d))
+    assert _teleport(cap, d).tobytes() == snake_by_loops(d).tobytes()
 
 
 # ------------------------------------------------------------------ choi
@@ -601,6 +615,8 @@ def test_choi_retraction_random_maps():
 def test_choi_rejects_non_matrices():
     with pytest.raises(ShapeError):
         choi_embed(np.zeros((2, 2, 2)))
+    with pytest.raises(ShapeError, match="^f is not an array of numbers$"):
+        choi_embed("x")
 
 
 # ------------------------------------------------------------- separability
@@ -638,6 +654,8 @@ def test_is_separable_parameter_validation():
         with pytest.raises(ArgumentError, match="^tol must be a positive finite number, got "):
             is_separable(rank_one, 1, tol=tol)
     assert is_separable(rank_one, 1, tol=np.float32(1e-6)) and is_separable(rank_one, 1, tol=1)
+    with pytest.raises(ShapeError, match="^tensor is not an array of numbers$"):
+        is_separable([[1.0, "x"], [2.0, 3.0]], 1)
 
 
 # ------------------------------------------------------------------ cosine
@@ -648,6 +666,35 @@ def test_cosine_examples():
     assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
     assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
     assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(2 ** -0.5, abs=1e-12)
+
+
+def test_coordinate_identical_vectors_have_cosine_exactly_one():
+    rng = np.random.default_rng(23)
+    for size in (1, 2, 5, 300):
+        for _ in range(50):
+            v = rng.normal(size=size) * 10.0 ** rng.uniform(-200, 200)
+            assert cosine(v, v.copy()) == 1.0
+            assert -1.0 <= cosine(v, -v) < -1.0 + 1e-15
+    # within a few ulps of 1 but not equal: the computed value, not 1.0
+    assert cosine([1.0, 0.0], [1.0, 3e-8]) == 1.0 - 2 * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(*[
+    st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=n, max_size=n)] * 2)))
+def test_cosine_stays_within_minus_one_and_one(pair):
+    u, v = pair
+    if not np.any(u) or not np.any(v):
+        return
+    for a, b in ((u, v), (u, u), (u, [-x for x in u])):
+        assert -1.0 <= cosine(a, b) <= 1.0
+
+
+@pytest.mark.parametrize("u, v, which", [("ab", "cd", "u"), ([1.0, 2.0], ["x", 1], "v"),
+                                          ([[1.0], [2.0, 3.0]], [1.0, 2.0], "u"), ({}, [1.0], "u")])
+def test_cosine_of_what_is_not_numbers_is_a_shape_error(u, v, which):
+    with pytest.raises(ShapeError, match=f"^{which} is not an array of numbers$"):
+        cosine(u, v)
 
 
 def test_cosine_rejects_zero_vectors_and_shape_mismatch():
