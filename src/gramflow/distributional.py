@@ -185,9 +185,10 @@ def _relative_counts(corpus, basis: BasisSpec):
     """
     documents = _documents_checked(corpus)
     _instance("basis", basis, BasisSpec)
+    documents = list(documents)  # the one pass over corpus, which may be an iterator
     rows = {tok: r for r, tok in enumerate(dict.fromkeys(chain.from_iterable(documents)))}
-    lengths = np.fromiter(map(len, corpus), dtype=np.int64)
-    ids = np.fromiter(map(rows.__getitem__, chain.from_iterable(corpus)), np.int32,
+    lengths = np.fromiter(map(len, documents), dtype=np.int64)
+    ids = np.fromiter(map(rows.__getitem__, chain.from_iterable(documents)), np.int32,
                       count=int(lengths.sum()))
     doc_of = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
     occ = np.bincount(ids, minlength=len(rows))

@@ -304,16 +304,19 @@ def _witness_links(seq, target):
     is the left end of a cup to an appended adjoint (the yank of a cup and
     a cap), and such cups are dropped from the links.  No cup may start at
     an appended position, or the unit would reduce to ``n^r n`` by expansion.
-    ``canc[i][j]`` says [i, j) of ``ext`` cancels completely: i cups with
-    some k < j at odd distance whose wire cancels with i's, such that
-    [i+1, k) and [k+1, j) cancel.  The rows are filled from the right, each
-    only at its balanced ends (the later positions at i's prefix level), so
-    every cell a row reads lies in a finished row.  When row i is filled,
-    ``partners[i]`` lists, nearest first, only the k whose inner interval
-    [i+1, k) cancels, read off the finished row i+1; a row with no balanced
-    end lists none, and the witness search never reads it.  Each position
-    tries its partners nearest first and an appended one lies rightmost, so
-    witnesses come in the lexicographic order of sorted link lists.
+    ``canc[i][j]`` is 1 when [i, j) of ``ext`` cancels completely, else 0:
+    i cups with some k < j at odd distance whose wire cancels with i's, such
+    that [i+1, k) and [k+1, j) cancel.  Each row is a ``bytearray``, one byte
+    per cell.  The rows are filled from the right, each only at its balanced
+    ends (the later positions at i's prefix level), so every cell a row
+    reads lies in a finished row.  When row i is filled, ``partners[i]``
+    lists, nearest first, only the k whose inner interval [i+1, k) cancels,
+    read off the finished row i+1; row i is then the union, over those k,
+    of row k+1 at the balanced ends past k.  A row with no balanced end
+    lists no partner and stays 0, and the witness search never reads it;
+    ``closer`` serves that search only.  Each position tries its partners
+    nearest first and an appended one lies rightmost, so witnesses come in
+    the lexicographic order of sorted link lists.
     """
     n = len(seq)
     ext = seq + tuple(map(right_adjoint, reversed(target)))
@@ -339,11 +342,11 @@ def _witness_links(seq, target):
             mates.append((found, len(found)))
         where.setdefault((t.base, t.z, p & 1), []).append(p)
     partners = [()] * n  # filled with row i: the partners m whose [i+1, m) cancels
-    canc = [[False] * (size + 1) for _ in range(size + 1)]
+    canc = [bytearray(size + 1) for _ in range(size + 1)]  # one byte per cell, 1 where it cancels
     for i, row in enumerate(canc):
-        row[i] = True
+        row[i] = 1
 
-    def closer(i, k, j):  # the first partner of i in (k, j) whose cup leaves [m+1, j) cancelling
+    def closer(i, k, j):  # for the search: i's first partner m in (k, j) with [m+1, j) cancelling
         for m in partners[i]:
             if m >= j:
                 break
@@ -351,15 +354,28 @@ def _witness_links(seq, target):
                 return m
         return 0
 
-    later = {}  # prefix level -> the positions after i at that level: i's balanced ends
+    later = {}  # prefix level -> the positions after i at that level, right to left: i's balanced ends
     for i in range(size, -1, -1):
         ends = later.setdefault(level[i], [])
-        if ends and i < n:  # a row with no balanced end or an appended start stays False
+        if ends and i < n:  # a row with no balanced end or an appended start stays 0
             found, start = mates[i]
-            inner = canc[i + 1]  # row i+1 is finished
+            row, inner = canc[i], canc[i + 1]  # row i+1 is finished
             partners[i] = [m for m in found[start:] if inner[m]]
-            for j in ends:
-                canc[i][j] = closer(i, i, j) > 0
+            # row i is the union of its partners' rows m+1, each read only at the
+            # ends j > m that no nearer partner has set: todo keeps those, right to left
+            todo = ends
+            for m in partners[i]:
+                rest, unset = canc[m + 1], []
+                for j in todo:
+                    if j <= m:  # and so for every later partner too
+                        break
+                    if rest[j]:
+                        row[j] = 1
+                    else:
+                        unset.append(j)
+                todo = unset
+                if not todo:
+                    break
         ends.append(i)
     if not canc[0][size]:
         return

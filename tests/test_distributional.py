@@ -100,6 +100,17 @@ def test_build_basis_takes_a_generator_corpus():
     assert build_basis((doc for doc in docs), 2) == build_basis(docs, 2) == BasisSpec(("b", "a"))
 
 
+def test_build_model_takes_a_generator_corpus():
+    # the corpus is read once: a generator gives the model the list gives
+    docs = [["a", "b", "a"], ["b", "c"]]
+    basis = BasisSpec(("a", "b"))
+    got, want = build_model((doc for doc in docs), basis), build_model(docs, basis)
+    assert list(got.vectors) == list(want.vectors) == list(got.counts) == ["a", "b", "c"]
+    assert got.counts == want.counts == {"a": 2, "b": 2, "c": 1}
+    for tok, vec in want.vectors.items():
+        assert got.vectors[tok].tobytes() == vec.tobytes()
+
+
 def test_build_basis_stop_words_and_window_default():
     basis = build_basis([["x", "x", "y", "z"]], 2, stop={"x"})
     assert basis.words == ("y", "z")

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -421,6 +422,21 @@ def test_reduce_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def test_reduce_stays_inside_its_memory_envelope():
+    # every even-length interval of (n n^r)* s cancels, so the whole table is
+    # read: (n + 1)^2 bytes, 5.5 MiB at 2,401 wires, and the rest stays linear
+    pairs = 1200
+    seq = parse_type("n n^r " * pairs + "s")
+    tracemalloc.start()
+    try:
+        diagram = reduce(seq, SENT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diagram.links == tuple((2 * i, 2 * i + 1) for i in range(pairs))
+    assert peak <= 10 * 2**20, f"reduce peaked at {peak / 2**20:.1f} MiB"
+
+
 # ------------------------------------------------------ diagram validation
 
 def test_validate_rejects_crossing_links():
@@ -679,15 +695,15 @@ def test_every_witness_has_partners_and_through_of_its_links(case):
 
 
 @st.composite
-def long_sequences_and_targets(draw):
-    """A target of 0-3 with up to 18 pairs inserted, and perhaps one planted pair: up to 41 types.
+def long_sequences_and_targets(draw, pairs=(0, 18)):
+    """A target of 0-3 with ``pairs`` (a least and a most) pairs inserted, and perhaps one planted pair.
 
-    The planted pair is some t^r and, somewhere after it, t: together they
-    leave every base's count unchanged, but they cancel only if other wires
-    take both of them.
+    That is up to 41 types with the default pairs.  The planted pair is some
+    t^r and, somewhere after it, t: together they leave every base's count
+    unchanged, but they cancel only if other wires take both of them.
     """
     target = draw(st.lists(SIMPLE, max_size=3))
-    seq = insert_pairs(draw, list(target), draw(st.integers(0, 18)))
+    seq = insert_pairs(draw, list(target), draw(st.integers(*pairs)))
     if draw(st.booleans()):
         t = draw(PAIRED)
         at = draw(st.integers(0, len(seq)))
@@ -721,6 +737,24 @@ def test_long_witnesses_are_distinct_ordered_and_valid(case):
     for diagram in found:
         validate_diagram(seq, diagram, target)
     event(f"witnesses: {min(len(found), 2)}")
+
+
+# past 41 wires rows have many partners and balanced ends, which each row's
+# fill unites; few examples, as the plain interval oracle is cubic
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(long_sequences_and_targets(pairs=(31, 58)))
+def test_reduce_and_witnesses_match_the_interval_oracle_past_sixty_wires(case):
+    seq, target = case
+    assert 62 <= len(seq) <= 121
+    diagram = reduce(seq, target)
+    assert (diagram is not None) == exists_by_intervals(simples(seq), simples(target))
+    found = enumerate_reductions(seq, target, 16)
+    assert found[:1] == [d for d in [diagram] if d is not None]
+    links = [d.links for d in found]
+    assert all(a < b for a, b in zip(links, links[1:]))  # strictly increasing, so distinct
+    for d in found:
+        validate_diagram(seq, d, target)
+    event("reduces" if diagram is not None else "does not reduce")
 
 
 @pytest.mark.parametrize("k", range(1, 8))
